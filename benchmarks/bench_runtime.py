@@ -6,7 +6,7 @@ Standalone script (not a pytest-benchmark module) so CI can smoke it:
 
 Builds a generated classifier, replays a rule-targeted trace through the
 data paths of :mod:`repro.runtime` — single-packet, batched, and the
-three shard modes (``thread`` / ``process`` / ``shm``) — verifies the
+two shard modes (``thread`` / ``shm``) — verifies the
 fast paths against the linear-scan ground truth on a sample, and writes
 ``BENCH_runtime.json`` with packets/sec for each path plus the headline
 speedups.  The shm rows also sweep worker counts (1/2/4, capped by
@@ -48,7 +48,7 @@ if __package__ in (None, ""):  # script invocation: put src/ on the path
 import numpy as np
 
 from repro.runtime.batch import iter_batches
-from repro.runtime.shard import ShardedRuntime
+from repro.runtime.shard import SHARD_MODES, ShardedRuntime
 from repro.saxpac.engine import SaxPacEngine
 from repro.workloads.generator import STYLES, generate_classifier
 from repro.workloads.traces import generate_trace
@@ -74,7 +74,7 @@ def _measure_batched(engine, block: np.ndarray, batch_size: int) -> dict:
 
 
 def _make_sharded(engine, shards: int, mode: str) -> ShardedRuntime:
-    if mode in ("process", "shm"):
+    if mode == "shm":
         return ShardedRuntime(
             classifier=engine.classifier,
             config=engine.config,
@@ -153,10 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch-size", type=int, default=1024)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--shard-mode",
-                        choices=("thread", "process", "shm"),
+                        choices=SHARD_MODES,
                         default="shm",
                         help="mode reported in the top-level 'sharded' "
-                             "row (all three are measured)")
+                             "row (both are measured)")
     parser.add_argument("--seed", type=int, default=2014,
                         help="workload RNG seed (reproducible numbers)")
     parser.add_argument("--quick", action="store_true",
@@ -197,7 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         mode: _measure_sharded(
             engine, block, args.batch_size, args.shards, mode
         )
-        for mode in ("thread", "process", "shm")
+        for mode in SHARD_MODES
     }
     scaling = [
         _measure_sharded(engine, block, args.batch_size, workers, "shm")
@@ -251,7 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"({single['packets']} pkts)")
     print(f"  batched: {batched_pps:>12,.0f} pkt/s "
           f"({result['speedup_batched_vs_single']:.1f}x single)")
-    for mode in ("thread", "process", "shm"):
+    for mode in SHARD_MODES:
         row = modes[mode]
         print(f"  {mode:<7}: {row['packets_per_second']:>12,.0f} pkt/s "
               f"({row['packets_per_second'] / single_pps:.1f}x single, "

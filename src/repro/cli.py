@@ -49,6 +49,7 @@ from typing import List, Optional, Tuple
 
 from .analysis import group_statistics
 from .core.classifier import Classifier
+from .runtime.shard import SHARD_MODES
 from .saxpac.config import ClassifierProfile, profile_classifier
 from .saxpac.engine import EngineConfig, SaxPacEngine
 from .saxpac.serialization import load_classifier, save_classifier
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch-size", type=int, default=1024)
     run.add_argument("--shards", type=int, default=1,
                      help="worker count (1 = unsharded)")
-    run.add_argument("--shard-mode", choices=("thread", "process", "shm"),
+    run.add_argument("--shard-mode", choices=SHARD_MODES,
                      default="thread")
     run.add_argument("--max-groups", type=int, default=None)
     _add_lookup_backend_flag(run)
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "printed on startup)")
     srv.add_argument("--shards", type=int, default=1,
                      help="worker count (1 = unsharded)")
-    srv.add_argument("--shard-mode", choices=("thread", "process", "shm"),
+    srv.add_argument("--shard-mode", choices=SHARD_MODES,
                      default="thread")
     srv.add_argument("--max-groups", type=int, default=None)
     _add_lookup_backend_flag(srv)
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, default=1)
     top.add_argument("--batch-size", type=int, default=1024)
     top.add_argument("--shards", type=int, default=1)
-    top.add_argument("--shard-mode", choices=("thread", "process", "shm"),
+    top.add_argument("--shard-mode", choices=SHARD_MODES,
                      default="thread")
     top.add_argument("--max-groups", type=int, default=None)
     _add_lookup_backend_flag(top)

@@ -35,14 +35,14 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
+from ..runtime.telemetry import NUM_BUCKETS, bucket_bound, bucket_index
+
 __all__ = ["ANOMALOUS_VERDICTS", "FlightEntry", "FlightRecorder"]
 
 #: Verdicts always retained (everything except ``ok``).
 ANOMALOUS_VERDICTS = frozenset(
     {"shed", "error", "deadline", "drain", "chaos", "slow"}
 )
-
-_NUM_BUCKETS = 40
 
 
 class FlightEntry:
@@ -121,7 +121,7 @@ class FlightRecorder:
         self._anomalous: deque = deque(maxlen=capacity)
         self._normal: deque = deque(maxlen=normal_capacity)
         self._lock = threading.Lock()
-        self._buckets = [0] * _NUM_BUCKETS
+        self._buckets = [0] * NUM_BUCKETS
         self._seen = 0
         self._normal_tick = 0
         self._cached_threshold: Optional[float] = None
@@ -129,11 +129,7 @@ class FlightRecorder:
 
     # -- slow threshold ------------------------------------------------
     def _observe_total(self, total_s: float) -> None:
-        micros = int(total_s * 1e6)
-        bucket = micros.bit_length() if micros > 0 else 0
-        if bucket >= _NUM_BUCKETS:
-            bucket = _NUM_BUCKETS - 1
-        self._buckets[bucket] += 1
+        self._buckets[bucket_index(total_s)] += 1
         self._seen += 1
         # The quantile scan is O(buckets); refreshing the cache every
         # 32 observations keeps note() O(1) on the happy path while the
@@ -149,8 +145,8 @@ class FlightRecorder:
         for index, count in enumerate(self._buckets):
             running += count
             if running >= target:
-                return float(1 << index) / 1e6
-        return float(1 << (_NUM_BUCKETS - 1)) / 1e6
+                return bucket_bound(index)
+        return bucket_bound(NUM_BUCKETS - 1)
 
     def slow_threshold_s(self) -> Optional[float]:
         """Current p99.9 latency in seconds, or None during warm-up."""

@@ -27,7 +27,11 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Mapping, Optional
 
-from ..runtime.telemetry import HistogramStats, TelemetrySnapshot
+from ..runtime.telemetry import (
+    HistogramStats,
+    TelemetrySnapshot,
+    bucket_bound,
+)
 
 __all__ = [
     "parse_exposition",
@@ -281,7 +285,7 @@ def _histogram_lines(
     cumulative = 0
     for index, count in enumerate(stats.buckets):
         cumulative += count
-        bound = HistogramStats.bucket_upper_bound(index)
+        bound = bucket_bound(index)
         bucket_labels = dict(labels or {})
         bucket_labels["le"] = repr(bound)
         lines.append(
@@ -324,7 +328,7 @@ def render_stage_histograms(
             last -= 1
         for index in range(last):
             cumulative += buckets[index]
-            bound = (1 << index) / 1e6
+            bound = bucket_bound(index)
             bucket_labels = dict(labels or {})
             bucket_labels["le"] = repr(bound)
             line = (

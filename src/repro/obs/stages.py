@@ -32,6 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..runtime.telemetry import NUM_BUCKETS, bucket_bound, bucket_index
+
 __all__ = ["STAGES", "StageRecord", "StageWaterfall"]
 
 #: Stage names, in pipeline order.  Column order of the ring.
@@ -45,7 +47,6 @@ STAGES: Tuple[str, ...] = (
 )
 
 _NUM_STAGES = len(STAGES)
-_NUM_BUCKETS = 40  # match runtime.telemetry.LatencyHistogram
 
 
 class StageRecord:
@@ -101,11 +102,11 @@ class StageWaterfall:
         # [2^(i-1), 2^i) microseconds, same layout as LatencyHistogram).
         # Plain Python lists: commit() touches a handful of cells per
         # request, where list indexing beats numpy scalar access.
-        self._bucket_counts = [[0] * _NUM_BUCKETS for _ in range(_NUM_STAGES)]
+        self._bucket_counts = [[0] * NUM_BUCKETS for _ in range(_NUM_STAGES)]
         self._sums = [0.0] * _NUM_STAGES
         self._counts = [0] * _NUM_STAGES
         # Latest exemplar trace id per (stage, bucket); 0 = none.
-        self._exemplars = [[0] * _NUM_BUCKETS for _ in range(_NUM_STAGES)]
+        self._exemplars = [[0] * NUM_BUCKETS for _ in range(_NUM_STAGES)]
         self.committed_total = 0
         self._lock = threading.Lock()
         self._stage_index = {name: i for i, name in enumerate(STAGES)}
@@ -181,10 +182,7 @@ class StageWaterfall:
             for si, seconds in enumerate(row):
                 if seconds <= 0.0:
                     continue
-                micros = int(seconds * 1e6)
-                bucket = micros.bit_length() if micros > 0 else 0
-                if bucket >= _NUM_BUCKETS:
-                    bucket = _NUM_BUCKETS - 1
+                bucket = bucket_index(seconds)
                 self._bucket_counts[si][bucket] += 1
                 self._sums[si] += seconds
                 self._counts[si] += 1
@@ -261,11 +259,7 @@ class StageWaterfall:
                         break
             return rows
 
-    @staticmethod
-    def bucket_upper_bound(index: int) -> float:
-        """Upper edge of log2 bucket ``index`` in seconds (matches
-        :meth:`HistogramStats.bucket_upper_bound`)."""
-        return float(1 << index) / 1e6
+    bucket_upper_bound = staticmethod(bucket_bound)
 
     @staticmethod
     def stage_names() -> Sequence[str]:

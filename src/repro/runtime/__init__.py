@@ -8,7 +8,7 @@ pipeline:
 * :mod:`~repro.runtime.batch` — batched classification drivers and the
   vectorized linear-scan fallback;
 * :mod:`~repro.runtime.shard` — a sharded worker pool (threads by
-  default, ``multiprocessing`` opt-in) with in-order merge;
+  default, shared-memory process workers opt-in) with in-order merge;
 * :mod:`~repro.runtime.swap` — RCU-style hot swap of a rebuilt engine
   under live traffic, degrading to the linear fallback on rebuild
   failure;

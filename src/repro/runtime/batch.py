@@ -1,14 +1,19 @@
 """Batched classification drivers.
 
 The vectorized batch kernels live with the structures they accelerate
-(:meth:`SaxPacEngine.match_batch`, :meth:`MultiGroupEngine.lookup_batch`);
-this module supplies the serving-side glue:
+(:meth:`SaxPacEngine.match_batch_indices`,
+:meth:`MultiGroupEngine.lookup_batch`); this module supplies the
+serving-side glue:
 
+* :func:`box_results` — the one place the runtime builds
+  :class:`MatchResult` objects: serving paths pass bare int64 rule
+  indices end to end and box only at the API edge;
 * :func:`match_batch` — uniform dispatch: any engine with a native
-  ``match_batch`` uses it, anything else gets a per-header loop, so every
-  classifier-shaped object can ride the same pipeline;
-* :func:`linear_match_batch` — a vectorized full linear scan, the
-  graceful-degradation path used when a hot-swap rebuild fails;
+  ``match_batch_indices`` uses it, anything else gets a per-header loop,
+  so every classifier-shaped object can ride the same pipeline;
+* :func:`linear_match_indices` — a vectorized full linear scan, the
+  graceful-degradation path used when a hot-swap rebuild fails
+  (:func:`linear_match_batch` is its boxed form);
 * :func:`verify_against_linear` — differential check of any engine's
   batch answers against that linear reference (the degradation
   invariant: degraded serving must still return the reference answer);
@@ -29,6 +34,7 @@ from .telemetry import NULL_RECORDER
 
 __all__ = [
     "BatchRunner",
+    "box_results",
     "iter_batches",
     "linear_match_batch",
     "linear_match_indices",
@@ -37,15 +43,28 @@ __all__ = [
 ]
 
 
+def box_results(classifier: Classifier, indices) -> List[MatchResult]:
+    """:class:`MatchResult` objects for rule ``indices`` of
+    ``classifier``.  Box against the classifier of the same engine
+    reference that produced the indices: after a hot swap the same index
+    may name a different rule."""
+    rules = classifier.rules
+    return [
+        MatchResult(i, rules[i])
+        for i in np.asarray(indices, dtype=np.int64).tolist()
+    ]
+
+
 def match_batch(engine, headers: Sequence[Sequence[int]]) -> List[MatchResult]:
     """Classify ``headers`` on any engine, batched when it supports it.
 
-    ``engine`` needs either a ``match_batch(headers)`` or a
-    ``match(header)`` method returning :class:`MatchResult`.
+    ``engine`` needs either a ``match_batch_indices(headers)`` method and
+    a ``classifier``, or a ``match(header)`` method returning
+    :class:`MatchResult`.
     """
-    native = getattr(engine, "match_batch", None)
+    native = getattr(engine, "match_batch_indices", None)
     if native is not None:
-        return native(headers)
+        return box_results(engine.classifier, native(headers))
     single = engine.match
     return [single(header) for header in headers]
 
@@ -59,20 +78,16 @@ def linear_match_batch(
     one (chunked) containment test over all body rules at once — the
     fallback data path when no built engine is available.
     """
-    rules = classifier.rules
-    return [
-        MatchResult(int(i), rules[int(i)])
-        for i in linear_match_indices(classifier, headers)
-    ]
+    return box_results(classifier, linear_match_indices(classifier, headers))
 
 
 def linear_match_indices(
     classifier: Classifier, headers: Sequence[Sequence[int]]
 ) -> np.ndarray:
     """The index core of :func:`linear_match_batch`: winning rule index
-    per header as an int64 ndarray — the form the index-only serving path
-    (:meth:`RuntimeService.match_indices`, shm shard fallbacks) consumes
-    without materializing rule objects."""
+    per header as an int64 ndarray — the form the serving fallbacks (the
+    service's, the shards' and :class:`~repro.runtime.swap
+    .LinearFallback`) return without materializing rule objects."""
     n = len(headers)
     if n == 0:
         return np.empty(0, dtype=np.int64)

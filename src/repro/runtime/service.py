@@ -39,13 +39,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..chaos.injector import NULL_INJECTOR
 from ..core.classifier import Classifier, MatchResult
 from ..core.rule import Rule
 from ..saxpac.config import EngineConfig
-from .batch import iter_batches, linear_match_batch, linear_match_indices
+from .batch import box_results, iter_batches, linear_match_indices
 from .health import HealthMonitor, HealthState
-from .shard import ShardedRuntime
+from .shard import ShardedRuntime, check_shard_mode
 from .swap import HotSwapRuntime
 from .telemetry import Telemetry, TelemetrySnapshot, render_text
 
@@ -91,8 +93,7 @@ class RuntimeConfig:
             raise ValueError("batch_size must be >= 1")
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.shard_mode not in ("thread", "process", "shm"):
-            raise ValueError(f"unknown shard mode {self.shard_mode!r}")
+        check_shard_mode(self.shard_mode)
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be > 0")
         if self.max_retries < 0:
@@ -170,45 +171,21 @@ class RuntimeService:
             self.injector.tracer = self.telemetry.tracer
         self.shards: Optional[ShardedRuntime] = None
         if self.config.num_shards > 1:
-            if self.config.shard_mode == "shm":
-                # Shared-memory workers read the swap engine per batch
-                # (like thread mode) so hot swaps ship as one columnar
-                # snapshot instead of a pool rebuild.
-                self.shards = ShardedRuntime(
-                    engine_source=lambda: self.swap.engine,
-                    num_shards=self.config.num_shards,
-                    mode="shm",
-                    recorder=self.telemetry,
-                    deadline_ms=self.config.deadline_ms,
-                    max_retries=self.config.max_retries,
-                    on_error="fallback",
-                    injector=self.injector,
-                    health=self.health,
-                )
-            elif self.config.shard_mode == "process":
-                self.shards = ShardedRuntime(
-                    classifier=classifier,
-                    config=self.config.engine,
-                    num_shards=self.config.num_shards,
-                    mode="process",
-                    recorder=self.telemetry,
-                    deadline_ms=self.config.deadline_ms,
-                    max_retries=self.config.max_retries,
-                    on_error="fallback",
-                    injector=self.injector,
-                    health=self.health,
-                )
-            else:
-                self.shards = ShardedRuntime(
-                    engine_source=lambda: self.swap.engine,
-                    num_shards=self.config.num_shards,
-                    recorder=self.telemetry,
-                    deadline_ms=self.config.deadline_ms,
-                    max_retries=self.config.max_retries,
-                    on_error="fallback",
-                    injector=self.injector,
-                    health=self.health,
-                )
+            # Shards read the swap engine once per batch, so hot swaps
+            # reach them: thread replicas share the engine, shm workers
+            # get one columnar snapshot per swap instead of a pool
+            # rebuild.
+            self.shards = ShardedRuntime(
+                engine_source=lambda: self.swap.engine,
+                num_shards=self.config.num_shards,
+                mode=self.config.shard_mode,
+                recorder=self.telemetry,
+                deadline_ms=self.config.deadline_ms,
+                max_retries=self.config.max_retries,
+                on_error="fallback",
+                injector=self.injector,
+                health=self.health,
+            )
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._fallback_probe_counter = 0
@@ -221,41 +198,25 @@ class RuntimeService:
         answers right now (stale under swap quarantine, by design)."""
         return self.swap.serving_classifier()
 
-    def _linear_batch(
-        self, headers: Sequence[Sequence[int]]
-    ) -> List[MatchResult]:
-        """Always-correct slow path over the serving snapshot."""
-        return linear_match_batch(self.serving_classifier(), headers)
-
-    def _linear_indices(self, headers: Sequence[Sequence[int]]):
-        """Index form of :meth:`_linear_batch`."""
-        return linear_match_indices(self.serving_classifier(), headers)
-
-    def _fast_path(
-        self, headers: Sequence[Sequence[int]]
-    ) -> tuple:
-        """(results, clean) via shards or the swap engine; ``clean`` is
-        False when shard-level faults were absorbed along the way."""
-        if self.shards is not None:
-            results = self.shards.match_batch(headers)
-            return results, self.shards.last_batch_faults == 0
-        return self.swap.match_batch(headers), True
+    def _linear_indices(self, headers: Sequence[Sequence[int]]) -> tuple:
+        """(indices, classifier): the always-correct slow path over the
+        serving snapshot."""
+        classifier = self.serving_classifier()
+        return linear_match_indices(classifier, headers), classifier
 
     def _fast_indices(self, headers: Sequence[Sequence[int]]) -> tuple:
-        """(indices, clean): the index-only fast path — what the wire
-        layer serves from.  Shards return bare indices natively (the shm
-        ring never materializes rule objects); an unsharded engine uses
-        its index kernel when it has one."""
-        if self.shards is not None:
-            indices = self.shards.match_indices(headers)
-            return indices, self.shards.last_batch_faults == 0
+        """(indices, classifier, clean) via the shards or the swap
+        engine, read once for the batch; ``classifier`` is the rule set
+        the indices point into and ``clean`` is False when shard-level
+        faults were absorbed along the way."""
+        shards = self.shards
+        if shards is not None:
+            indices, classifier = shards.match_indices_with_classifier(
+                headers
+            )
+            return indices, classifier, shards.last_batch_faults == 0
         engine = self.swap.engine
-        native = getattr(engine, "match_batch_indices", None)
-        if native is not None:
-            return native(headers), True
-        return [
-            result.index for result in self.swap.match_batch(headers)
-        ], True
+        return engine.match_batch_indices(headers), engine.classifier, True
 
     def match_batch(
         self, headers: Sequence[Sequence[int]]
@@ -267,17 +228,18 @@ class RuntimeService:
         serving snapshot.  Raises :class:`LoadShedError` — and only that
         — when the in-flight watermark is hit.
         """
-        return self._serve(headers, self._fast_path, self._linear_batch)
+        indices, classifier = self._serve(headers)
+        return box_results(classifier, indices)
 
-    def match_indices(self, headers: Sequence[Sequence[int]]):
-        """Winning rule indices for one batch — :meth:`match_batch`
-        without the :class:`MatchResult` materialization, same guard
-        ladder, same shed behavior.  Returns an int64 ndarray (or list)
-        in input order; this is what :class:`~repro.net.NetServer`
-        encodes straight onto the wire."""
-        return self._serve(headers, self._fast_indices, self._linear_indices)
+    def match_indices(self, headers: Sequence[Sequence[int]]) -> np.ndarray:
+        """Winning rule indices for one batch as an int64 ndarray in
+        input order — :meth:`match_batch` without the
+        :class:`MatchResult` boxing, same guard ladder, same shed
+        behavior.  This is what :class:`~repro.net.NetServer` encodes
+        straight onto the wire."""
+        return self._serve(headers)[0]
 
-    def _serve(self, headers, fast, linear):
+    def _serve(self, headers) -> tuple:
         watermark = self.config.shed_watermark
         with self._inflight_lock:
             if watermark is not None and self._inflight >= watermark:
@@ -288,21 +250,18 @@ class RuntimeService:
                 )
             self._inflight += 1
         try:
-            return self._serve_guarded(headers, fast, linear)
+            return self._serve_guarded(headers)
         finally:
             with self._inflight_lock:
                 self._inflight -= 1
 
-    def _serve_guarded(self, headers, fast, linear):
-        """The guard ladder around one batch, parameterized over the
-        result form: ``fast(headers) -> (results, clean)`` and
-        ``linear(headers) -> results`` produce either
-        :class:`MatchResult` lists or bare index arrays; the
-        health/fallback/telemetry behavior is identical either way."""
+    def _serve_guarded(self, headers) -> tuple:
+        """The guard ladder around one batch; returns ``(indices,
+        classifier)`` with the indices pointing into ``classifier``."""
         start = time.perf_counter()
         telemetry = self.telemetry
         with telemetry.span("runtime.batch", batch=len(headers)):
-            results = None
+            served = None
             clean = True
             fast_served = False
             faulted = False
@@ -317,12 +276,13 @@ class RuntimeService:
                 self._fallback_probe_counter += 1
                 if self._fallback_probe_counter % self.config.probe_every:
                     telemetry.incr("runtime.fallback_batches")
-                    results = linear(headers)
+                    served = self._linear_indices(headers)
                 else:
                     telemetry.incr("runtime.fallback_probes")
-            if results is None and not faulted:
+            if served is None and not faulted:
                 try:
-                    results, clean = fast(headers)
+                    indices, classifier, clean = self._fast_indices(headers)
+                    served = (indices, classifier)
                     fast_served = True
                 except LoadShedError:
                     raise
@@ -331,7 +291,7 @@ class RuntimeService:
             if faulted:
                 self.health.record_failure("service.batch")
                 telemetry.incr("runtime.batch_fallbacks")
-                results = linear(headers)
+                served = self._linear_indices(headers)
             elif fast_served and clean:
                 # Only a *proven* fast-path batch counts toward recovery;
                 # linear-fallback serving must not step the ladder down.
@@ -339,13 +299,13 @@ class RuntimeService:
         telemetry.incr("runtime.batches")
         telemetry.incr("runtime.packets", len(headers))
         telemetry.observe("runtime.batch", time.perf_counter() - start)
-        return results
+        return served
 
     def run_trace(self, trace: Sequence[Sequence[int]]) -> RunReport:
         """Replay a whole trace in ``batch_size`` batches."""
         start = time.perf_counter()
         for batch in iter_batches(trace, self.config.batch_size):
-            self.match_batch(batch)
+            self.match_indices(batch)
         elapsed = time.perf_counter() - start
         return RunReport(
             packets=len(trace),

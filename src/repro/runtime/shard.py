@@ -3,23 +3,22 @@
 A batch is split into N contiguous chunks, each classified on its own
 replica of the engine, and the per-chunk results are merged back in input
 order.  Threads are the default (replicas are deep copies, so per-replica
-counters stay exact and lock-free); ``mode="process"`` opts into
-``multiprocessing`` workers that each build their own engine from the
-pickled classifier — useful when the per-chunk work is heavy enough to
-amortize the IPC; ``mode="shm"`` runs persistent process workers over a
-shared-memory packet/result ring (:mod:`repro.runtime.shm`) with no
-per-chunk pickling at all — headers are written once into shared numpy
-slabs, workers classify in place, and completion is a slot sequence
-counter.
+counters stay exact and lock-free); ``mode="shm"`` runs persistent process
+workers over a shared-memory packet/result ring
+(:mod:`repro.runtime.shm`) with no per-chunk pickling at all — headers are
+written once into shared numpy slabs, workers classify in place, and
+completion is a slot sequence counter.
 
-Workers return bare rule indices; the parent materializes
-:class:`MatchResult` objects against its own classifier, so results are
-identical (by value) to the unsharded path regardless of mode.
+Every chunk is classified by the engine's ``match_batch_indices`` and
+merged as one int64 index array; :meth:`ShardedRuntime.match_batch` boxes
+:class:`MatchResult` objects once, at the API edge, against the
+classifier of the engine that served the batch, so results are identical
+(by value) to the unsharded path in either mode.
 
 **Failure handling.**  Chunk execution is guarded:
 
 * ``deadline_ms`` bounds each *batch*: a chunk that has not produced a
-  result when the batch deadline expires is abandoned, the worker pool is
+  result when the batch deadline expires is abandoned, the workers are
   respawned (``runtime.worker_respawns`` — a hung worker would otherwise
   occupy its slot forever), and the chunk is served through the
   always-correct vectorized linear scan (``runtime.chunk_fallbacks``) so
@@ -40,24 +39,23 @@ Fault injection rides on the same guard: the runtime consults
 hang or slow chunks deterministically — see :mod:`repro.chaos`.
 
 **Telemetry fold-back.**  Replicas record into private recorders (a deep
-copy cannot share the parent's lock, and a process worker cannot share
-its memory); those recordings used to vanish.  Now every replica gets a
-fresh :class:`~repro.runtime.telemetry.Telemetry` that shares the
-parent's tracer/heat sinks (thread mode) or its own full stack (process
-mode), and the data flows back via
+copy cannot share the parent's lock, and a shm worker cannot share its
+memory); those recordings used to vanish.  Now every thread replica gets
+a fresh :class:`~repro.runtime.telemetry.Telemetry` that shares the
+parent's tracer/heat sinks, and its counters flow back via
 :meth:`~repro.runtime.telemetry.Telemetry.drain` /
-:meth:`~repro.runtime.telemetry.Telemetry.absorb`: per chunk result in
-process mode, on :meth:`ShardedRuntime.collect` (called by the service
-before every snapshot, and on close) in thread mode.  Span context
-propagates into workers as an explicit parent
-:class:`~repro.obs.tracing.SpanContext`, so chunk and engine spans nest
-under the caller's batch span across thread and process boundaries.
+:meth:`~repro.runtime.telemetry.Telemetry.absorb` on
+:meth:`ShardedRuntime.collect` (called by the service before every
+snapshot, and on close); shm workers build their own full stack and ship
+drained deltas back per chunk.  Span context propagates into workers as
+an explicit parent :class:`~repro.obs.tracing.SpanContext`, so chunk and
+engine spans nest under the caller's batch span across thread and
+process boundaries.
 """
 
 from __future__ import annotations
 
 import copy
-import multiprocessing
 import os
 import time
 import traceback
@@ -69,10 +67,28 @@ import numpy as np
 
 from ..chaos.injector import NULL_INJECTOR
 from ..core.classifier import Classifier, MatchResult
-from .batch import linear_match_batch, match_batch
+from .batch import box_results, linear_match_indices
 from .telemetry import NULL_RECORDER, Telemetry
 
-__all__ = ["ShardedRuntime", "ShardWorkerError", "default_num_shards"]
+__all__ = [
+    "SHARD_MODES",
+    "ShardedRuntime",
+    "ShardWorkerError",
+    "default_num_shards",
+]
+
+#: Worker kinds a :class:`ShardedRuntime` (and ``RuntimeConfig.shard_mode``)
+#: accepts.
+SHARD_MODES = ("thread", "shm")
+
+
+def check_shard_mode(mode: str) -> None:
+    """Raise ``ValueError`` naming the valid modes unless ``mode`` is one."""
+    if mode not in SHARD_MODES:
+        raise ValueError(
+            f"unknown shard mode {mode!r}; expected one of "
+            f"{', '.join(SHARD_MODES)}"
+        )
 
 
 def default_num_shards() -> int:
@@ -82,7 +98,7 @@ def default_num_shards() -> int:
 
 class ShardWorkerError(RuntimeError):
     """A shard worker failed persistently; carries the worker-side
-    traceback (thread or process) so the root cause is never hidden
+    traceback (thread or shm worker) so the root cause is never hidden
     behind a bare pool error."""
 
     def __init__(self, message: str, worker_traceback: str = "") -> None:
@@ -107,80 +123,6 @@ def _rebind_recorder(engine, recorder) -> None:
             software.recorder = recorder
 
 
-# -- process-mode plumbing (module level so workers can unpickle it) ----
-_WORKER_ENGINE = None
-_WORKER_RECORDER = NULL_RECORDER
-_WORKER_INJECTOR = NULL_INJECTOR
-
-
-def _init_process_worker(classifier, config, obs_spec=None, plan=None) -> None:
-    global _WORKER_ENGINE, _WORKER_RECORDER, _WORKER_INJECTOR
-    from ..saxpac.engine import SaxPacEngine
-
-    if obs_spec is None:
-        _WORKER_RECORDER = NULL_RECORDER
-    else:
-        # Worker-local tracer/heat; their recordings travel back in the
-        # per-chunk TelemetryDelta.
-        tracer = heat = None
-        if obs_spec.get("tracing"):
-            from ..obs.tracing import Tracer
-
-            tracer = Tracer(capacity=obs_spec.get("span_capacity", 4096))
-        if obs_spec.get("heat"):
-            from ..obs.heat import HeatProfiler
-
-            heat = HeatProfiler(
-                sample_period=obs_spec.get("sample_period", 1)
-            )
-        _WORKER_RECORDER = Telemetry(tracer=tracer, heat=heat)
-    if plan is None:
-        _WORKER_INJECTOR = NULL_INJECTOR
-    else:
-        # Worker-local injector armed from the shared plan: fault
-        # schedules apply per worker process (memory does not cross the
-        # IPC boundary).
-        from ..chaos.injector import FaultInjector
-
-        _WORKER_INJECTOR = FaultInjector(plan)
-    _WORKER_ENGINE = SaxPacEngine(
-        classifier, config, recorder=_WORKER_RECORDER
-    )
-
-
-def _classify_chunk_in_worker(payload) -> Tuple[str, object, object]:
-    """Classify one chunk; returns ``("ok", indices, drained telemetry
-    delta or None)`` or ``("err", formatted traceback, None)`` — worker
-    failures are *data*, so the parent always gets the real traceback
-    instead of a broken pool.  ``payload`` is ``(chunk, shard, parent
-    span context)``."""
-    chunk, shard, parent_ctx = payload
-    try:
-        injector = _WORKER_INJECTOR
-        if injector.enabled:
-            injector.fire("shard.worker", shard=shard, pid=os.getpid())
-        recorder = _WORKER_RECORDER
-        if recorder.enabled:
-            with recorder.span(
-                "shard.chunk", parent=parent_ctx, shard=shard,
-                packets=len(chunk), pid=os.getpid(),
-            ):
-                indices = [
-                    result.index
-                    for result in _WORKER_ENGINE.match_batch(chunk)
-                ]
-            delta = recorder.drain()
-            # An empty delta still pickles as a full TelemetryDelta; send
-            # the None sentinel instead so quiet chunks return cheap.
-            return "ok", indices, (None if delta.is_empty() else delta)
-        indices = [
-            result.index for result in _WORKER_ENGINE.match_batch(chunk)
-        ]
-        return "ok", indices, None
-    except Exception:
-        return "err", traceback.format_exc(), None
-
-
 class ShardedRuntime:
     """Partition batches across engine replicas and merge in order.
 
@@ -188,24 +130,28 @@ class ShardedRuntime:
 
     * ``ShardedRuntime(engine=built_engine)`` — thread workers over deep
       copies of an already-built engine (cheapest; the default);
-    * ``ShardedRuntime(engine_source=lambda: runtime.engine)`` — thread
-      workers that re-read the engine per chunk, sharing one instance;
-      this is the hook :class:`~repro.runtime.swap.HotSwapRuntime` uses so
-      shards observe hot swaps;
-    * ``ShardedRuntime(classifier=k, config=cfg, mode="process")`` —
-      process workers, each building a private engine at pool start.
+    * ``ShardedRuntime(engine_source=lambda: runtime.engine)`` — workers
+      that read the engine once per batch (the RCU read), sharing one
+      instance in thread mode; this is the hook
+      :class:`~repro.runtime.service.RuntimeService` uses so shards
+      observe hot swaps;
+    * ``ShardedRuntime(classifier=k, config=cfg)`` — builds the engine
+      from a classifier first.
 
-    ``mode="shm"`` composes with the first and third styles: process
-    workers like ``"process"``, but chunks travel through a shared-memory
-    ring (:mod:`repro.runtime.shm`) instead of the pickle channel, and an
-    ``engine_source`` is allowed — the runtime detects classifier changes
-    per batch and ships one columnar snapshot to the workers
-    (:meth:`~repro.runtime.shm.ShmWorkerPool.ship_swap`), so hot swaps
-    work without rebuilding the pool.
+    ``mode="shm"`` composes with the last two styles: process workers
+    classify chunks in place in a shared-memory ring
+    (:mod:`repro.runtime.shm`), and with an ``engine_source`` the runtime
+    detects classifier changes per batch and ships one columnar snapshot
+    to the workers (:meth:`~repro.runtime.shm.ShmWorkerPool.ship_swap`),
+    so hot swaps work without rebuilding the pool.  Schemas with fields
+    wider than 32 bits need ``mode="thread"``.
+
+    Engines must provide ``match_batch_indices(headers)``; that is the
+    only call the runtime makes into them.
 
     Guard knobs: ``deadline_ms`` (per-batch deadline; also what detects a
-    dead/hung process worker), ``max_retries``/``backoff_s`` (bounded
-    retry of erroring chunks), ``on_error`` (``"raise"`` surfaces a
+    dead/hung worker), ``max_retries``/``backoff_s`` (bounded retry of
+    erroring chunks), ``on_error`` (``"raise"`` surfaces a
     :class:`ShardWorkerError` after retries; ``"fallback"`` serves the
     chunk via the linear scan instead), ``injector`` (chaos hook,
     production default is a no-op), ``health`` (an optional
@@ -231,8 +177,7 @@ class ShardedRuntime:
         shm_capacity: int = 16384,
         shm_depth: int = 4,
     ) -> None:
-        if mode not in ("thread", "process", "shm"):
-            raise ValueError(f"unknown shard mode {mode!r}")
+        check_shard_mode(mode)
         if on_error not in ("raise", "fallback"):
             raise ValueError(f"unknown on_error policy {on_error!r}")
         if deadline_ms is not None and deadline_ms <= 0:
@@ -245,11 +190,6 @@ class ShardedRuntime:
         if sources != 1:
             raise ValueError(
                 "pass exactly one of engine / engine_source / classifier"
-            )
-        if mode == "process" and classifier is None:
-            raise ValueError(
-                "process mode needs a classifier (engines do not cross "
-                "process boundaries)"
             )
         if mode == "shm" and engine is not None:
             raise ValueError(
@@ -276,17 +216,16 @@ class ShardedRuntime:
         #: The most recent persistent worker failure (kept even when
         #: ``on_error="fallback"`` swallowed it), for diagnostics.
         self.last_worker_error: Optional[ShardWorkerError] = None
-        self._pool = None
         self._executor = None
-        self._pool_args = None
         self._shm_pool = None
         self._shipped_classifier: Optional[Classifier] = None
         self._replicas: List[object] = []
         self._replica_recorders: List[Telemetry] = []
         self._restore: List[Tuple[object, object]] = []
         self._source = engine_source
-        if mode in ("process", "shm"):
+        if mode == "shm":
             from ..saxpac.config import EngineConfig
+            from .shm import ShmWorkerPool
 
             obs_spec = None
             if self.recorder.enabled:
@@ -303,56 +242,38 @@ class ShardedRuntime:
                 if getattr(self.injector, "plan", None) is not None
                 else None
             )
-            if mode == "shm":
-                from .shm import ShmWorkerPool
-
-                if classifier is None:
-                    source_engine = engine_source()
-                    classifier = source_engine.classifier
-                    if config is None:
-                        config = getattr(source_engine, "config", None)
-                self.classifier = classifier
-                self._shm_config = config or EngineConfig()
-                self._shipped_classifier = classifier
-                self._shm_pool = ShmWorkerPool(
-                    classifier,
-                    self._shm_config,
-                    num_workers=self.num_shards,
-                    capacity=shm_capacity,
-                    depth=shm_depth,
-                    obs_spec=obs_spec,
-                    plan=plan,
-                )
-                return
+            if classifier is None:
+                source_engine = engine_source()
+                classifier = source_engine.classifier
+                if config is None:
+                    config = getattr(source_engine, "config", None)
             self.classifier = classifier
-            self._pool_args = (
-                classifier, config or EngineConfig(), obs_spec, plan
+            self._shm_config = config or EngineConfig()
+            self._shipped_classifier = classifier
+            self._shm_pool = ShmWorkerPool(
+                classifier,
+                self._shm_config,
+                num_workers=self.num_shards,
+                capacity=shm_capacity,
+                depth=shm_depth,
+                obs_spec=obs_spec,
+                plan=plan,
             )
-            self._spawn_pool()
+            return
+        if classifier is not None:
+            from ..saxpac.engine import SaxPacEngine
+
+            engine = SaxPacEngine(classifier, config)
+        if engine is not None:
+            self.classifier = engine.classifier
+            self._replicas = [engine] + [
+                copy.deepcopy(engine) for _ in range(self.num_shards - 1)
+            ]
+            if self.recorder.enabled:
+                self._bind_replica_recorders()
         else:
-            if classifier is not None:
-                from ..saxpac.engine import SaxPacEngine
-
-                engine = SaxPacEngine(classifier, config)
-            if engine is not None:
-                self.classifier = engine.classifier
-                self._replicas = [engine] + [
-                    copy.deepcopy(engine)
-                    for _ in range(self.num_shards - 1)
-                ]
-                if self.recorder.enabled:
-                    self._bind_replica_recorders()
-            else:
-                self.classifier = engine_source().classifier
-            self._spawn_executor()
-
-    def _spawn_pool(self) -> None:
-        ctx = multiprocessing.get_context()
-        self._pool = ctx.Pool(
-            processes=self.num_shards,
-            initializer=_init_process_worker,
-            initargs=self._pool_args,
-        )
+            self.classifier = engine_source().classifier
+        self._spawn_executor()
 
     def _spawn_executor(self) -> None:
         self._executor = ThreadPoolExecutor(
@@ -361,20 +282,15 @@ class ShardedRuntime:
         )
 
     def _respawn(self) -> None:
-        """Replace the worker pool: hung/dead workers would otherwise
-        occupy their slots forever.  Abandoned threads finish (or sleep
-        out) on their own; a terminated process pool is reaped.  In shm
-        mode the ring survives — workers are replaced in place and their
-        in-flight slots reclaimed (``runtime.slots_reclaimed``)."""
-        if self.mode == "shm":
+        """Replace the workers: hung/dead workers would otherwise occupy
+        their slots forever.  Abandoned threads finish (or sleep out) on
+        their own.  In shm mode the ring survives — workers are replaced
+        in place and their in-flight slots reclaimed
+        (``runtime.slots_reclaimed``)."""
+        if self._shm_pool is not None:
             reclaimed = self._shm_pool.respawn_all()
             if reclaimed:
                 self.recorder.incr("runtime.slots_reclaimed", reclaimed)
-        elif self.mode == "process":
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-            self._spawn_pool()
         else:
             if self._executor is not None:
                 self._executor.shutdown(wait=False, cancel_futures=True)
@@ -426,23 +342,12 @@ class ShardedRuntime:
             start += size
         return chunks
 
-    def _serving_classifier(self) -> Classifier:
-        """The classifier whose linear reference equals the serving
-        engines' answers (re-read under hot swaps)."""
-        if self._source is not None:
-            return self._source().classifier
-        return self.classifier
-
     def _classify_on_replica(
-        self, shard: int, chunk, parent_ctx=None
-    ) -> List[int]:
+        self, shard: int, engine, chunk, parent_ctx=None
+    ) -> np.ndarray:
         injector = self.injector
         if injector.enabled:
             injector.fire("shard.worker", shard=shard)
-        if self._replicas:
-            engine = self._replicas[shard]
-        else:
-            engine = self._source()  # shared, re-read per chunk (RCU)
         recorder = self.recorder
         if recorder.enabled:
             # Pool threads do not inherit the caller's span context, so
@@ -451,60 +356,28 @@ class ShardedRuntime:
                 "shard.chunk", parent=parent_ctx, shard=shard,
                 packets=len(chunk),
             ):
-                return [
-                    result.index for result in match_batch(engine, chunk)
-                ]
-        return [result.index for result in match_batch(engine, chunk)]
-
-    def _linear_chunk(self, chunk) -> List[int]:
-        """Always-correct slow path for one chunk (deadline/crash
-        degradation); answers equal the serving engines' by Theorem 1."""
-        classifier = self._serving_classifier()
-        return [
-            result.index for result in linear_match_batch(classifier, chunk)
-        ]
+                return engine.match_batch_indices(chunk)
+        return engine.match_batch_indices(chunk)
 
     # -- guarded chunk execution ---------------------------------------
-    def _submit(self, index: int, chunk, parent_ctx):
-        if self.mode == "shm":
-            return self._shm_pool.submit(
-                index % self.num_shards, chunk, parent_ctx
-            )
-        if self.mode == "process":
-            return self._pool.apply_async(
-                _classify_chunk_in_worker,
-                ((chunk, index % self.num_shards, parent_ctx),),
-            )
+    def _submit(self, index: int, chunk, parent_ctx, source):
+        shard = index % self.num_shards
+        if self._shm_pool is not None:
+            return self._shm_pool.submit(shard, chunk, parent_ctx)
+        engine = self._replicas[shard] if self._replicas else source
         return self._executor.submit(
-            self._classify_on_replica,
-            index % self.num_shards, chunk, parent_ctx,
+            self._classify_on_replica, shard, engine, chunk, parent_ctx
         )
 
     def _await(self, handle, timeout_s):
         """Collect one chunk handle: ``("ok", indices)``, ``("err",
         traceback text)`` or ``("timeout", None)``."""
-        if self.mode == "shm":
+        if self._shm_pool is not None:
             status, value = self._shm_pool.wait(handle, timeout_s)
             if self.recorder.enabled and hasattr(self.recorder, "absorb"):
                 for delta in self._shm_pool.take_deltas():
                     self.recorder.absorb(delta)
             return status, value
-        if self.mode == "process":
-            try:
-                status, value, delta = handle.get(timeout=timeout_s)
-            except multiprocessing.TimeoutError:
-                return "timeout", None
-            except Exception as exc:  # pool torn down mid-wait, etc.
-                return "err", "".join(
-                    traceback.format_exception(
-                        type(exc), exc, exc.__traceback__
-                    )
-                )
-            if status == "err":
-                return "err", value
-            if delta is not None and hasattr(self.recorder, "absorb"):
-                self.recorder.absorb(delta)
-            return "ok", value
         try:
             return "ok", handle.result(timeout=timeout_s)
         except FutureTimeoutError:
@@ -519,24 +392,34 @@ class ShardedRuntime:
         if self.health is not None:
             self.health.record_failure(source)
 
-    def match_indices(self, headers: Sequence[Sequence[int]]) -> List[int]:
-        """Winning rule indices for a batch, in input order.
+    def match_indices_with_classifier(
+        self, headers: Sequence[Sequence[int]]
+    ) -> Tuple[np.ndarray, Classifier]:
+        """Winning rule indices for a batch (int64, input order) and the
+        classifier they index into.
 
-        Chunks that time out against ``deadline_ms`` or whose workers
-        fail persistently degrade to the linear reference (or raise, see
+        The engine is read once per batch, so every chunk — and every
+        linear fallback — answers for the same rule set.  Chunks that
+        time out against ``deadline_ms`` or whose workers fail
+        persistently degrade to the linear reference (or raise, see
         ``on_error``); results are exact either way.
         """
+        source = self._source() if self._source is not None else None
+        classifier = (
+            source.classifier if source is not None else self.classifier
+        )
         if not len(headers):
-            return []
-        if self._shm_pool is not None and self._source is not None:
+            return np.empty(0, dtype=np.int64), classifier
+        if (
+            self._shm_pool is not None
+            and classifier is not self._shipped_classifier
+        ):
             # Hot-swap detection: ship one columnar snapshot when the
             # source engine's rule set changed since the last batch.
-            current = self._source().classifier
-            if current is not self._shipped_classifier:
-                self._shm_pool.ship_swap(current, self._shm_config)
-                self._shipped_classifier = current
-                self.classifier = current
-                self.recorder.incr("runtime.snapshot_ships")
+            self._shm_pool.ship_swap(classifier, self._shm_config)
+            self._shipped_classifier = classifier
+            self.classifier = classifier
+            self.recorder.incr("runtime.snapshot_ships")
         chunks = self._chunks(headers)
         recorder = self.recorder
         self.last_batch_faults = 0
@@ -547,12 +430,13 @@ class ShardedRuntime:
             self.deadline_ms / 1000.0 if self.deadline_ms is not None else None
         )
         started = time.monotonic()
-        parts: List[Optional[List[int]]] = [None] * len(chunks)
+        parts: List[Optional[np.ndarray]] = [None] * len(chunks)
         pending = list(range(len(chunks)))
         attempt = 0
         while pending:
             handles = {
-                i: self._submit(i, chunks[i], parent_ctx) for i in pending
+                i: self._submit(i, chunks[i], parent_ctx, source)
+                for i in pending
             }
             failed: List[int] = []
             last_traceback = ""
@@ -582,7 +466,7 @@ class ShardedRuntime:
                 self._respawn()
                 for i in pending:
                     if parts[i] is None and i not in failed:
-                        parts[i] = self._linear_chunk(chunks[i])
+                        parts[i] = linear_match_indices(classifier, chunks[i])
                         recorder.incr("runtime.chunk_fallbacks")
             if not failed:
                 break
@@ -595,7 +479,7 @@ class ShardedRuntime:
                 if self.on_error == "raise":
                     raise error
                 for i in failed:
-                    parts[i] = self._linear_chunk(chunks[i])
+                    parts[i] = linear_match_indices(classifier, chunks[i])
                     recorder.incr("runtime.chunk_fallbacks")
                 break
             attempt += 1
@@ -606,31 +490,21 @@ class ShardedRuntime:
             recorder.incr("shard.batches")
             recorder.incr("shard.packets", len(headers))
             recorder.incr("shard.chunks", len(chunks))
-        if len(parts) == 1:
-            return parts[0]
-        if all(isinstance(part, np.ndarray) for part in parts):
-            return np.concatenate(parts)  # shm fast path: no boxing
-        merged: List[int] = []
-        for part in parts:  # chunk order == input order
-            merged.extend(
-                part.tolist() if isinstance(part, np.ndarray) else part
-            )
-        return merged
+        # chunk order == input order
+        merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return merged, classifier
+
+    def match_indices(self, headers: Sequence[Sequence[int]]) -> np.ndarray:
+        """Winning rule indices for a batch (int64, input order)."""
+        return self.match_indices_with_classifier(headers)[0]
 
     def match_batch(
         self, headers: Sequence[Sequence[int]]
     ) -> List[MatchResult]:
         """Batched classification across the shards; results identical to
         the unsharded engine."""
-        if self._source is not None:
-            # Shared-engine mode: the rule set moves under hot swaps, so
-            # materialize against the engine that is serving right now.
-            self.classifier = self._source().classifier
-        rules = self.classifier.rules
-        return [
-            MatchResult(index, rules[index])
-            for index in self.match_indices(headers)
-        ]
+        indices, classifier = self.match_indices_with_classifier(headers)
+        return box_results(classifier, indices)
 
     # ------------------------------------------------------------------
     # Telemetry fold-back
@@ -641,9 +515,9 @@ class ShardedRuntime:
         Thread-mode replicas record counters/histograms into private
         recorders (their spans/heat already land in the shared sinks);
         this drains them into the parent so a snapshot taken right after
-        sees every shard's data.  Process-mode deltas are absorbed per
-        chunk, so this is a no-op there.  Cheap and idempotent — the
-        service calls it before every snapshot.
+        sees every shard's data.  shm workers' deltas are mostly absorbed
+        per chunk; this picks up any still queued.  Cheap and idempotent —
+        the service calls it before every snapshot.
         """
         recorder = self.recorder
         if not hasattr(recorder, "absorb"):
@@ -660,10 +534,10 @@ class ShardedRuntime:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pool down (idempotent); folds any remaining
+        """Shut the workers down (idempotent); folds any remaining
         per-replica telemetry back and restores original recorder
-        bindings.  Process workers are closed gracefully and ``join()``ed
-        so their exit codes are reaped — no orphaned children."""
+        bindings.  shm worker processes are stopped and ``join()``ed so
+        their exit codes are reaped — no orphaned children."""
         self.collect()
         for engine, original in self._restore:
             if original is not None:
@@ -673,10 +547,6 @@ class ShardedRuntime:
         if self._shm_pool is not None:
             self._shm_pool.close()
             self._shm_pool = None
-        elif self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
         elif self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None

@@ -1,9 +1,9 @@
 """Shared-memory sharding: persistent workers over shared numpy rings.
 
-The legacy ``mode="process"`` shards pay the full IPC tax on every chunk:
-the packet list is pickled into the pool, the engine answers are pickled
+A pickling process pool pays the full IPC tax on every chunk: the
+packet list is pickled into the pool, the engine answers are pickled
 back, and each respawn re-pickles the whole classifier.  This module
-removes all of it, following the write-once/read-in-place design that
+avoids all of it, following the write-once/read-in-place design that
 NuevoMatch (arXiv 2002.07584) uses for its parallel independent sets and
 the update/data-path split RVH (arXiv 1909.07159) argues for:
 
@@ -282,7 +282,8 @@ class ShmRing:
 # ---------------------------------------------------------------------------
 
 def _build_worker_recorder(obs_spec):
-    """Worker-local telemetry stack (mirrors the legacy process mode)."""
+    """Worker-local telemetry stack; its drained deltas ride the status
+    queue back to the dispatcher."""
     from .telemetry import NULL_RECORDER, Telemetry
 
     if obs_spec is None:
@@ -498,7 +499,7 @@ class ShmWorkerPool:
         if wide:
             raise ValueError(
                 f"shm mode carries headers as uint32 slabs; schema fields "
-                f"{wide} are wider than 32 bits"
+                f"{wide} are wider than 32 bits (use shard mode 'thread')"
             )
         import threading
 
@@ -789,13 +790,29 @@ class ShmWorkerPool:
             self._await_deltas()
         if status == STATUS_OK and results is not None:
             return "ok", results
-        self._drain_status()
-        detail = self._errors.pop(
-            (slot, seq),
-            f"shm worker {worker} lost slot {slot} (seq {seq}, "
-            f"status {status})",
+        detail = self._await_error(
+            (slot, seq), 1.0 if status == STATUS_ERROR else 0.0
         )
+        if detail is None:
+            detail = (
+                f"shm worker {worker} lost slot {slot} (seq {seq}, "
+                f"status {status})"
+            )
         return "err", detail
+
+    def _await_error(self, key, timeout_s: float) -> Optional[str]:
+        """The worker traceback for slot ``key``, draining the status
+        queue until it lands.  A worker queues its traceback before it
+        publishes the failed slot, but the queue's feeder thread may
+        still be flushing it; bounded, because a worker that died in
+        between never delivers it."""
+        deadline = time.monotonic() + timeout_s
+        while True:
+            self._drain_status()
+            detail = self._errors.pop(key, None)
+            if detail is not None or time.monotonic() >= deadline:
+                return detail
+            time.sleep(0.0002)
 
     # -- failure handling ---------------------------------------------
     def _reclaim(self, worker: int) -> int:

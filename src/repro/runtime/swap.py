@@ -44,7 +44,7 @@ from ..core.rule import Rule
 from ..saxpac.config import EngineConfig
 from ..saxpac.engine import SaxPacEngine
 from ..saxpac.updates import DynamicSaxPac, InsertReport
-from .batch import linear_match_batch
+from .batch import linear_match_indices, match_batch
 from .telemetry import NULL_RECORDER
 
 __all__ = ["HotSwapRuntime", "LinearFallback", "UpdateRecord"]
@@ -71,11 +71,10 @@ class LinearFallback:
         """First-match scan (reference semantics)."""
         return self.classifier.match(header)
 
-    def match_batch(
-        self, headers: Sequence[Sequence[int]]
-    ) -> List[MatchResult]:
-        """Vectorized first-match over the whole rule list."""
-        return linear_match_batch(self.classifier, headers)
+    def match_batch_indices(self, headers: Sequence[Sequence[int]]):
+        """Vectorized first-match over the whole rule list: winning rule
+        index per header as an int64 ndarray."""
+        return linear_match_indices(self.classifier, headers)
 
 
 class HotSwapRuntime:
@@ -339,7 +338,7 @@ class HotSwapRuntime:
         self, headers: Sequence[Sequence[int]]
     ) -> List[MatchResult]:
         """Batched match; the whole batch runs on one engine reference."""
-        return self._engine.match_batch(headers)
+        return match_batch(self._engine, headers)
 
     def classify_batch(self, headers: Sequence[Sequence[int]]):
         """Actions of the winning rules, in input order."""

@@ -27,11 +27,14 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 __all__ = [
     "HistogramStats",
     "LatencyHistogram",
+    "NUM_BUCKETS",
     "NullRecorder",
     "NULL_RECORDER",
     "Telemetry",
     "TelemetryDelta",
     "TelemetrySnapshot",
+    "bucket_bound",
+    "bucket_index",
     "render_text",
 ]
 
@@ -40,8 +43,22 @@ __all__ = [
 _NULL_SPAN = contextlib.nullcontext()
 
 #: Histogram buckets are powers of two in microseconds: bucket i holds
-#: observations in [2**(i-1), 2**i) us, bucket 0 holds (0, 1) us.
-_NUM_BUCKETS = 40
+#: observations in [2**(i-1), 2**i) us, bucket 0 holds [0, 1) us.  The
+#: one log2-us bucket layout shared by every latency histogram in the
+#: package (telemetry, the stage waterfall, the flight recorder and the
+#: Prometheus exposition).
+NUM_BUCKETS = 40
+
+
+def bucket_index(seconds: float) -> int:
+    """Log2-us bucket of one observation, clamped to the last bucket."""
+    micros = int(seconds * 1e6)
+    return min(NUM_BUCKETS - 1, micros.bit_length()) if micros > 0 else 0
+
+
+def bucket_bound(index: int) -> float:
+    """Upper bound of bucket ``index`` in seconds."""
+    return (1 << index) / 1e6
 
 
 @dataclass(frozen=True)
@@ -68,10 +85,7 @@ class HistogramStats:
         """Arithmetic mean latency."""
         return self.total / self.count if self.count else 0.0
 
-    @staticmethod
-    def bucket_upper_bound(index: int) -> float:
-        """Upper bound of bucket ``index`` in seconds."""
-        return (1 << index) / 1e6
+    bucket_upper_bound = staticmethod(bucket_bound)
 
 
 class LatencyHistogram:
@@ -83,7 +97,7 @@ class LatencyHistogram:
     """
 
     def __init__(self) -> None:
-        self.buckets: List[int] = [0] * _NUM_BUCKETS
+        self.buckets: List[int] = [0] * NUM_BUCKETS
         self.count = 0
         self.total = 0.0
         self.minimum = math.inf
@@ -91,11 +105,7 @@ class LatencyHistogram:
 
     def observe(self, seconds: float) -> None:
         """Record one observation."""
-        micros = seconds * 1e6
-        index = 0 if micros < 1.0 else min(
-            _NUM_BUCKETS - 1, int(micros).bit_length()
-        )
-        self.buckets[index] += 1
+        self.buckets[bucket_index(seconds)] += 1
         self.count += 1
         self.total += seconds
         if seconds < self.minimum:
@@ -123,13 +133,13 @@ class LatencyHistogram:
         for i, n in enumerate(self.buckets):
             seen += n
             if seen >= need:
-                return min((1 << i) / 1e6, self.maximum)
+                return min(bucket_bound(i), self.maximum)
         return self.maximum  # pragma: no cover - defensive
 
     def stats(self) -> HistogramStats:
         """Freeze the histogram into summary statistics."""
         buckets = self.buckets
-        last = _NUM_BUCKETS
+        last = NUM_BUCKETS
         while last > 0 and buckets[last - 1] == 0:
             last -= 1
         return HistogramStats(
@@ -226,8 +236,8 @@ class TelemetryDelta:
 
     Produced by :meth:`Telemetry.drain` and folded back with
     :meth:`Telemetry.absorb`; this is how sharded workers (thread replicas
-    and ``multiprocessing`` workers alike) ship their local recordings
-    back to the service recorder without sharing locks across shard or
+    and shm worker processes alike) ship their local recordings back to
+    the service recorder without sharing locks across shard or
     process boundaries.  ``heat`` and ``spans`` are opaque payloads from
     the attached heat profiler / tracer (None when not attached).
     """
@@ -314,8 +324,8 @@ class Telemetry:
 
         The returned :class:`TelemetryDelta` is picklable (locks are not
         carried), including drained payloads from the attached heat
-        profiler and tracer when present, so process-mode shard workers
-        can ship it across the IPC boundary.  Pass ``sinks=False`` when
+        profiler and tracer when present, so shm shard workers can ship
+        it across the IPC boundary.  Pass ``sinks=False`` when
         this recorder *shares* its tracer/heat with the fold-back target
         (thread-mode shard replicas): those recordings are already in
         place and must not be round-tripped.
@@ -355,9 +365,9 @@ class Telemetry:
             self._latencies.clear()
 
     # -- copy/pickle support -------------------------------------------
-    # Engines holding a recorder get deep-copied into shard replicas and
-    # pickled into process workers; the lock must not travel, and the
-    # attached sinks (tracer/heat) are process-local by design.
+    # Engines holding a recorder get deep-copied into shard replicas;
+    # the lock must not travel, and the attached sinks (tracer/heat) are
+    # process-local by design.
     def __getstate__(self) -> Dict[str, object]:
         with self._lock:
             return {

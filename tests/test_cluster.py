@@ -7,6 +7,7 @@ lives in ``benchmarks/soak_cluster.py``; these tests pin the
 mechanisms it relies on at a size the fast lane can afford.
 """
 
+import itertools
 import random
 import threading
 import time
@@ -204,10 +205,30 @@ class TestReplicaSet:
     def test_kill_mid_stream_zero_wrong_answers(self, cluster3):
         classifier, cluster = cluster3
         trace, blocks = make_blocks(classifier, 6000, 8, seed=17)
+        victim = cluster.services["replica-1"]
+        serve = victim.match_indices
+        lookups = itertools.count(1)
+        in_flight = threading.Event()
+        killed = threading.Event()
+
+        def serve_then_hold(block):
+            # The third lookup wakes the killer and holds its answer
+            # until the kill lands, so the kill always meets a request
+            # still in flight on replica-1.
+            answer = serve(block)
+            if next(lookups) == 3:
+                in_flight.set()
+                killed.wait(10.0)
+            return answer
+
+        def kill_when_in_flight():
+            in_flight.wait(10.0)
+            cluster.kill("replica-1")
+            killed.set()
+
+        victim.match_indices = serve_then_hold
         with cluster.replica_set(retries=2, timeout_s=10.0) as rs:
-            killer = threading.Timer(
-                0.15, cluster.kill, args=("replica-1",)
-            )
+            killer = threading.Thread(target=kill_when_in_flight)
             killer.start()
             answers = rs.match_many(blocks)
             killer.join()

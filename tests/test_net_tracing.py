@@ -247,9 +247,9 @@ class TestTaskAndWorkerPropagation:
         assert by_name["a"].trace_id != by_name["b"].trace_id
 
     def test_process_workers_join_the_parent_trace(self):
-        """shard.chunk spans recorded inside __reduce__-rearmed process
-        workers come back parented under the driving request span, with
-        the worker's own pid — cross-process propagation end to end."""
+        """shard.chunk spans recorded inside shm worker processes come
+        back parented under the driving request span, with the worker's
+        own pid — cross-process propagation end to end."""
         classifier = random_classifier(random.Random(13), num_rules=40)
         trace = generate_trace(classifier, 64, 41)
         tracer = Tracer()
@@ -257,7 +257,7 @@ class TestTaskAndWorkerPropagation:
         with ShardedRuntime(
             classifier=classifier,
             num_shards=2,
-            mode="process",
+            mode="shm",
             recorder=recorder,
         ) as sharded:
             with tracer.span("driver.request") as parent:

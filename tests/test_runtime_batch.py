@@ -7,6 +7,7 @@ import pytest
 from conftest import random_classifier
 from repro.runtime.batch import (
     BatchRunner,
+    box_results,
     iter_batches,
     linear_match_batch,
     match_batch,
@@ -67,6 +68,24 @@ class TestLinearMatchBatch:
         classifier = Classifier(uniform_schema(2, 4), [])
         results = linear_match_batch(classifier, [(0, 0), (15, 15)])
         assert all(r.index == 0 for r in results)
+
+
+class TestBoxResults:
+    def test_boxes_against_the_given_classifier(self, setup):
+        classifier, engine, trace = setup
+        indices = engine.match_batch_indices(trace)
+        results = box_results(classifier, indices)
+        assert [r.index for r in results] == indices.tolist()
+        assert all(
+            r.rule is classifier.rules[r.index] for r in results
+        )
+        assert all(type(r.index) is int for r in results)
+
+    def test_accepts_lists_and_empty_input(self, setup):
+        classifier, _, _ = setup
+        assert box_results(classifier, []) == []
+        (result,) = box_results(classifier, [0])
+        assert result.rule is classifier.rules[0]
 
 
 class TestIterBatches:

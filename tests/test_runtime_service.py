@@ -9,6 +9,7 @@ from conftest import random_classifier
 from repro.cli import main
 from repro.core import make_rule
 from repro.runtime.service import RunReport, RuntimeConfig, RuntimeService
+from repro.runtime.shard import SHARD_MODES
 from repro.workloads.traces import generate_trace
 
 
@@ -37,6 +38,10 @@ class TestRuntimeConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RuntimeConfig(**kwargs)
+
+    def test_rejects_process_mode_naming_valid_modes(self):
+        with pytest.raises(ValueError, match="thread, shm"):
+            RuntimeConfig(num_shards=2, shard_mode="process")
 
 
 class TestRuntimeService:
@@ -70,17 +75,25 @@ class TestRuntimeService:
             got = [r.index for r in service.match_batch(trace)]
         assert got == [classifier.match(h).index for h in trace]
 
-    def test_hot_insert_visible_to_shards(self, setup):
+    @pytest.mark.parametrize("mode", SHARD_MODES)
+    def test_hot_insert_visible_to_shards(self, setup, mode):
         classifier, trace = setup
-        config = RuntimeConfig(num_shards=2)
+        config = RuntimeConfig(num_shards=2, shard_mode=mode)
         with RuntimeService(classifier, config) as service:
             service.match_batch(trace[:100])
             gen = service.swap.generation
             service.insert(make_rule([(0, 3)] * classifier.num_fields))
             assert service.swap.generation > gen
-            got = [r.index for r in service.match_batch(trace)]
+            # Removing the top rule shifts every index below it, so a
+            # shard still serving an older rule set answers wrongly.
+            service.remove(0)
+            boxed = service.match_batch(trace)
+            indices = service.match_indices(trace)
             snapshot = service.swap.snapshot_classifier()
-        assert got == [snapshot.match(h).index for h in trace]
+        want = [snapshot.match(h) for h in trace]
+        assert [r.index for r in boxed] == [w.index for w in want]
+        assert [r.rule for r in boxed] == [w.rule for w in want]
+        assert indices.tolist() == [w.index for w in want]
 
     def test_report_text(self, setup):
         classifier, trace = setup

@@ -84,7 +84,8 @@ class TestShmMode:
         with ShardedRuntime(
             classifier=classifier, num_shards=2, mode="shm"
         ) as sharded:
-            assert sharded.match_indices([]) == []
+            got = sharded.match_indices([])
+        assert got.dtype == np.int64 and got.tolist() == []
 
     def test_ring_wraparound(self, setup):
         # Slots are reused once SEQ_DONE catches SEQ_SUBMIT; a tiny
@@ -143,7 +144,7 @@ class TestShmMode:
         classifier = Classifier(
             schema, [make_rule([(0, 1 << 35), (5, 9)])]
         )
-        with pytest.raises(ValueError, match="32 bits"):
+        with pytest.raises(ValueError, match="32 bits.*'thread'"):
             ShardedRuntime(classifier=classifier, num_shards=1, mode="shm")
 
     def test_rejects_engine_with_shm_mode(self, setup):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_classifier
@@ -130,6 +131,9 @@ class TestDegradation:
         assert got == _reference(runtime, trace)
         singles = [runtime.match(h).index for h in trace[:30]]
         assert singles == got[:30]
+        # The fallback speaks the runtime's one engine call.
+        indices = runtime.engine.match_batch_indices(trace)
+        assert indices.dtype == np.int64 and indices.tolist() == got
 
     def test_recovers_on_next_good_rebuild(self, setup):
         classifier, trace = setup

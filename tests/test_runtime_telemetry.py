@@ -9,9 +9,12 @@ import pytest
 
 from repro.runtime.telemetry import (
     NULL_RECORDER,
+    NUM_BUCKETS,
     LatencyHistogram,
     NullRecorder,
     Telemetry,
+    bucket_bound,
+    bucket_index,
     render_text,
 )
 
@@ -36,6 +39,33 @@ class TestNullRecorder:
         with rec.span("anything", parent=None, batch=3):
             pass
         assert rec.span("a") is rec.span("b")  # one shared nullcontext
+
+
+class TestBucketPrimitive:
+    """The one log2-us bucket layout every histogram in the package
+    shares (telemetry, stage waterfall, flight recorder, Prometheus)."""
+
+    @pytest.mark.parametrize(
+        "seconds, index",
+        [
+            (0.0, 0),
+            (-1e-3, 0),
+            (0.9e-6, 0),
+            (1e-6, 1),
+            (1.999e-6, 1),
+            (2e-6, 2),
+            (1e-3, 10),  # 1000 us lies in [512, 1024)
+            (1e9, NUM_BUCKETS - 1),
+        ],
+    )
+    def test_index(self, seconds, index):
+        assert bucket_index(seconds) == index
+
+    def test_observation_lies_below_its_bound(self):
+        for micros in (1, 3, 7, 8, 1000, 123_456):
+            seconds = micros / 1e6
+            index = bucket_index(seconds)
+            assert bucket_bound(index - 1) <= seconds < bucket_bound(index)
 
 
 class TestLatencyHistogram:
