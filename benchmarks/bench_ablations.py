@@ -219,7 +219,7 @@ def test_ablation_group_probe_structure(benchmark, suite_small, save_result):
     grouping = l_mgr(classifier, l=2)
     group = max(grouping.groups, key=lambda g: g.size)
     trace = generate_trace(classifier, 2000, seed=23)
-    tree_index = build_group_index(classifier, group)
+    tree_index = build_group_index(classifier, group, "segment")
     linear_index = LinearGroupIndex(classifier, group)
 
     def probe_all(index):
@@ -257,7 +257,8 @@ def test_ablation_cascading(benchmark, suite_small, save_result):
     largest two-field group of fw1."""
     import time
 
-    from repro.lookup.cascading import CascadingTwoFieldIndex  # noqa: F401
+    from repro.lookup.cascading import CascadingTwoFieldIndex
+    from repro.lookup.two_field import TwoFieldIndex
 
     classifier = suite_small["fw1"]
     grouping = l_mgr(classifier, l=2)
@@ -269,17 +270,22 @@ def test_ablation_cascading(benchmark, suite_small, save_result):
     if group is None:
         pytest.skip("no two-field group found")
     trace = generate_trace(classifier, 3000, seed=29)
-    plain = build_group_index(classifier, group, cascading=False)
-    cascaded = build_group_index(classifier, group, cascading=True)
+    a, b = group.fields
+    triples = [
+        (classifier.rules[r].intervals[a], classifier.rules[r].intervals[b], r)
+        for r in group.rule_indices
+    ]
+    plain = TwoFieldIndex(triples)
+    cascaded = CascadingTwoFieldIndex(triples)
 
     def run():
         t0 = time.perf_counter()
         for header in trace:
-            plain.probe(header)
+            plain.lookup(header[a], header[b])
         plain_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         for header in trace:
-            cascaded.probe(header)
+            cascaded.lookup(header[a], header[b])
         cascaded_s = time.perf_counter() - t0
         return plain_s, cascaded_s
 
@@ -298,7 +304,9 @@ def test_ablation_cascading(benchmark, suite_small, save_result):
         ),
     )
     for header in trace[:500]:
-        assert plain.probe(header) == cascaded.probe(header)
+        assert plain.lookup(header[a], header[b]) == cascaded.lookup(
+            header[a], header[b]
+        )
 
 
 def test_ablation_fp_budget(benchmark, suite_small, save_result):

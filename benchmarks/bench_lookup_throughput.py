@@ -14,11 +14,11 @@ standalone **per-backend ablation** (the same pattern as
     python benchmarks/bench_lookup_throughput.py --quick
 
 For every (style, rule-count) cell it builds the engine once per lookup
-backend (``linear``, ``interval``, ``segment``, ``learned``, ``auto``),
-replays the same trace through ``MultiGroupEngine.lookup_batch``,
-asserts all backends return byte-identical decisions, and writes
+backend (``linear``, ``interval``, ``segment``, ``auto``), replays the
+same trace through ``MultiGroupEngine.lookup_batch``, asserts all
+backends return byte-identical decisions, and writes
 ``BENCH_lookup.json``: per-cell packets/sec, backend mix, memory items
-and learned mispredict rates.  ``--baseline BENCH_lookup.json`` gates CI
+and build cost.  ``--baseline BENCH_lookup.json`` gates CI
 on the *ratio* of each backend's throughput to the same-run linear
 backend (runner speed cancels out of the ratio, like the
 ``BENCH_build.json`` normalized-cost gate).
@@ -49,7 +49,7 @@ from repro.workloads.traces import generate_trace
 TRACE_LEN = 2000
 
 #: Ablation order: linear first — it is every cell's ratio denominator.
-ABLATION_BACKENDS = ("linear", "interval", "segment", "learned", "auto")
+ABLATION_BACKENDS = ("linear", "interval", "segment", "auto")
 
 
 @pytest.fixture(scope="module")
@@ -210,11 +210,6 @@ def _ablate_cell(
         mix: Dict[str, int] = {}
         for group in software.groups:
             mix[group.backend] = mix.get(group.backend, 0) + 1
-        probes = mispredicts = 0
-        for group in software.groups:
-            stats = group.backend_stats()
-            probes += int(stats.get("model_probes", 0))
-            mispredicts += int(stats.get("mispredicts", 0))
         cell["backends"][backend] = {
             "seconds": round(best, 5),
             "packets_per_second": round(trace_len / best) if best else 0,
@@ -224,9 +219,6 @@ def _ablate_cell(
             ),
             "build_seconds": round(
                 sum(g.build_seconds for g in software.groups), 5
-            ),
-            "mispredict_rate": (
-                round(mispredicts / probes, 5) if probes else 0.0
             ),
         }
     return cell
@@ -323,12 +315,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for style in args.styles
         for rules in args.sizes
     ]
-    learned_wins = [
-        _cell_key(cell)
-        for cell in cells
-        if cell["backends"]["learned"]["packets_per_second"]
-        > cell["backends"]["interval"]["packets_per_second"]
-    ]
     result = {
         "benchmark": "lookup-backends",
         "config": {
@@ -340,9 +326,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "quick": args.quick,
         },
         "cells": cells,
-        "summary": {
-            "learned_beats_interval_cells": learned_wins,
-        },
     }
     with open(args.out, "w") as handle:
         json.dump(result, handle, indent=2)
@@ -354,13 +337,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             mix = ",".join(
                 f"{k}:{v}" for k, v in sorted(stats["group_mix"].items())
             )
-            extra = (
-                f" mispredict={stats['mispredict_rate']:.2%}"
-                if stats["mispredict_rate"] else ""
-            )
             print(f"  {name:<9} {stats['packets_per_second']:>12,} pkt/s"
-                  f"  mem={stats['memory_items']:>8,}  [{mix}]{extra}")
-    print(f"learned beats interval on: {learned_wins or 'no cell'}")
+                  f"  mem={stats['memory_items']:>8,}  [{mix}]")
     print(f"wrote {args.out}")
 
     if args.baseline:

@@ -49,6 +49,7 @@ from typing import List, Optional, Tuple
 
 from .analysis import group_statistics
 from .core.classifier import Classifier
+from .lookup.backends import backend_names
 from .runtime.shard import SHARD_MODES
 from .saxpac.config import ClassifierProfile, profile_classifier
 from .saxpac.engine import EngineConfig, SaxPacEngine
@@ -75,15 +76,15 @@ def _save(classifier: Classifier, path: str, profile=None) -> None:
 
 def _add_lookup_backend_flag(verb) -> None:
     """The shared per-group lookup-backend knob for engine-building
-    verbs.  ``auto`` is the heat-driven selector; the named backends
-    force one structure on every group (falling back per group when a
-    backend cannot serve it — decisions are identical either way)."""
+    verbs.  ``auto`` is the shape rule; the named backends force one
+    structure on every group (falling back per group when a backend
+    cannot serve it — decisions are identical either way)."""
     verb.add_argument(
         "--lookup-backend",
-        choices=("auto", "interval", "segment", "linear", "learned"),
+        choices=backend_names(include_auto=True),
         default="auto",
         help="per-group lookup structure (default: auto-select from "
-             "group size, field count and traffic heat)",
+             "group size and disjoint fields)",
     )
 
 

@@ -1,9 +1,10 @@
 """Software lookup structures: interval maps, segment trees, group
-engine, and the pluggable backend registry (:mod:`repro.lookup.backends`)."""
+engine, and the pluggable backend registry (:mod:`repro.lookup.backends`).
 
-from .cascading import CascadingTwoFieldIndex
-from .decision_tree import DecisionTreeClassifier, TreeStats
-from .tuple_space import TupleSpaceClassifier
+The paper-ablation baselines — :mod:`.cascading` (fractional cascading),
+:mod:`.decision_tree` and :mod:`.tuple_space` — are imported from their
+own modules, so the serving path never loads them."""
+
 from .group_engine import (
     GroupIndex,
     LinearGroupIndex,
@@ -12,7 +13,6 @@ from .group_engine import (
 )
 from .backends import (
     AUTO_BACKEND,
-    LearnedGroupIndex,
     LookupBackend,
     backend_names,
     build_with_backend,
@@ -26,14 +26,9 @@ from .two_field import TwoFieldIndex
 
 __all__ = [
     "AUTO_BACKEND",
-    "CascadingTwoFieldIndex",
-    "DecisionTreeClassifier",
     "DisjointIntervalMap",
-    "TreeStats",
-    "TupleSpaceClassifier",
     "FrozenSegmentTree",
     "GroupIndex",
-    "LearnedGroupIndex",
     "LinearGroupIndex",
     "LookupBackend",
     "MultiGroupEngine",

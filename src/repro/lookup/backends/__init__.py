@@ -1,54 +1,36 @@
-"""Pluggable lookup backends for the per-group probe structures.
+"""Lookup backends for the per-group probe structures.
 
 SAX-PAC reduces classification to one range lookup per order-independent
-group, but *which* data structure should serve that lookup depends on the
-group: its size, its field count, and — following "Self-Adjusting Packet
-Classification" (arXiv 2109.15090) — the live traffic it absorbs.  This
-package turns the previously hard-wired structure choice in
-:func:`~repro.lookup.group_engine.build_group_index` into a registry of
+group; which data structure serves that lookup follows from the group's
+shape.  This package holds the structures as a registry of
 :class:`LookupBackend` strategies:
 
 ``interval``
-    Sorted-array binary search over pairwise-disjoint intervals
-    (:class:`~repro.lookup.interval_map.DisjointIntervalMap`) — the
-    classic single-field structure.
+    Binary search on a field where the members are pairwise disjoint,
+    then a check of the candidate on the group's other fields — any
+    group that has such a field (Theorem 2, Fields Reduction).
 ``segment``
-    The two-field segment-tree index (plain or fractionally cascaded).
+    The two-field segment-tree index.
 ``linear``
     Vectorized scan over the group members on the group fields — best
-    for tiny groups, and the only option past two fields.
-``learned``
-    A NuevoMatch-style learned range index (arXiv 2002.07584): a small
-    monotone piecewise-linear model, trained at build time on the sorted
-    interval bounds of one provably-disjoint group field, predicts a
-    candidate slot; a guaranteed error window plus fallback to the
-    wrapped exact structure keeps results decision-identical to the
-    classic structures (see :mod:`.learned`).
+    for tiny groups, and the only option past two fields without a
+    disjoint field.
 ``auto``
-    Not a backend but a per-group policy: :func:`~.selector
-    .select_backend` picks one of the above from group size, field
-    count and (when a :class:`~repro.obs.heat.HeatProfiler` report is
-    available) per-group heat.  Incremental rebuilds re-run the policy,
-    so the choice tracks traffic drift.
+    Not a backend but the per-group shape rule of
+    :func:`~.selector.select_backend`: fewer than 16 members → linear;
+    a disjoint field → interval; two fields → segment; else linear.
 
 A backend **builds** :class:`~repro.lookup.group_engine.GroupIndex`
 instances; the built index serves batched lookups through
 ``probe_batch`` (the engine-facing ``lookup_batch``) and reports its
 memory footprint and build cost through
 :meth:`~repro.lookup.group_engine.GroupIndex.backend_report`.
-
 The registry (:func:`register_backend`) is the extension seam for later
 work — shared-memory resident structures and per-tenant backends plug in
 without touching the engine.
 """
 
-from .adapters import (
-    IntervalBackend,
-    LinearBackend,
-    SegmentBackend,
-    structural_backend_name,
-)
-from .learned import LearnedBackend, LearnedGroupIndex, PiecewiseLinearModel
+from .adapters import IntervalBackend, LinearBackend, SegmentBackend
 from .registry import (
     AUTO_BACKEND,
     LookupBackend,
@@ -57,19 +39,17 @@ from .registry import (
     get_backend,
     register_backend,
 )
-from .selector import select_backend
+from .selector import disjoint_field, select_backend, structural_backend_name
 
 __all__ = [
     "AUTO_BACKEND",
     "IntervalBackend",
-    "LearnedBackend",
-    "LearnedGroupIndex",
     "LinearBackend",
     "LookupBackend",
-    "PiecewiseLinearModel",
     "SegmentBackend",
     "backend_names",
     "build_with_backend",
+    "disjoint_field",
     "get_backend",
     "register_backend",
     "select_backend",

@@ -1,10 +1,10 @@
-"""Adapters exposing the classic probe structures as lookup backends.
+"""Adapters exposing the probe structures as lookup backends.
 
-Each adapter wraps one of the pre-registry structures — the disjoint
-interval map, the two-field segment tree (plain or cascaded) and the
-vectorized linear scan — behind the :class:`~.registry.LookupBackend`
-interface, preserving exactly the structures (and therefore the
-decisions and complexities) the engine used before backends existed.
+Each adapter wraps one structure of :mod:`repro.lookup.group_engine` —
+binary search on a disjoint key field, the two-field segment tree and
+the vectorized linear scan — behind the :class:`~.registry.LookupBackend`
+interface.  :mod:`.selector` holds the shape rule that picks among
+them.
 """
 
 from __future__ import annotations
@@ -12,53 +12,42 @@ from __future__ import annotations
 from ...analysis.mgr import Group
 from ...core.classifier import Classifier
 from .registry import LookupBackend, register_backend
+from .selector import disjoint_field
 
-__all__ = [
-    "IntervalBackend",
-    "LinearBackend",
-    "SegmentBackend",
-    "structural_backend_name",
-]
-
-
-def structural_backend_name(group: Group) -> str:
-    """The pre-registry structural default for a group's field count:
-    interval map (1 field), segment tree (2), linear scan (more)."""
-    if len(group.fields) == 1:
-        return "interval"
-    if len(group.fields) == 2:
-        return "segment"
-    return "linear"
+__all__ = ["IntervalBackend", "LinearBackend", "SegmentBackend"]
 
 
 class IntervalBackend(LookupBackend):
-    """Binary search over pairwise-disjoint intervals — single-field
-    groups only (O(log N) probes, linear memory)."""
+    """Binary search on a field where the members are pairwise disjoint,
+    plus a check of the other group fields — any group that has such a
+    field (O(log N) probes, linear memory)."""
 
     name = "interval"
 
     def supports(self, classifier: Classifier, group: Group) -> bool:
-        return len(group.fields) == 1
+        return disjoint_field(classifier, group) is not None
 
-    def build(self, classifier, group, *, cascading=False):
-        from ..group_engine import _OneFieldIndex
+    def build(self, classifier, group):
+        from ..group_engine import _IntervalGroupIndex
 
-        return _OneFieldIndex(classifier, group)
+        return _IntervalGroupIndex(
+            classifier, group, disjoint_field(classifier, group)
+        )
 
 
 class SegmentBackend(LookupBackend):
     """Segment tree over field a with per-node disjoint maps on field b
-    — two-field groups only (O(log^2 N), or O(log N) cascaded)."""
+    — two-field groups only (O(log^2 N))."""
 
     name = "segment"
 
     def supports(self, classifier: Classifier, group: Group) -> bool:
         return len(group.fields) == 2
 
-    def build(self, classifier, group, *, cascading=False):
+    def build(self, classifier, group):
         from ..group_engine import _TwoFieldGroupIndex
 
-        return _TwoFieldGroupIndex(classifier, group, cascading)
+        return _TwoFieldGroupIndex(classifier, group)
 
 
 class LinearBackend(LookupBackend):
@@ -71,7 +60,7 @@ class LinearBackend(LookupBackend):
     def supports(self, classifier: Classifier, group: Group) -> bool:
         return True
 
-    def build(self, classifier, group, *, cascading=False):
+    def build(self, classifier, group):
         from ..group_engine import LinearGroupIndex
 
         return LinearGroupIndex(classifier, group)

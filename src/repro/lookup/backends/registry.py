@@ -6,18 +6,20 @@ structure: ``supports`` says whether it can serve a given group,
 (whose ``probe_batch`` is the batched lookup and whose
 ``backend_report`` carries the memory/build-cost accounting).  Backends
 register by name; :func:`build_with_backend` resolves a requested name —
-or the ``auto`` policy — against a group, falling back to the group's
-structural default whenever the requested backend cannot serve it, so a
-forced ``--lookup-backend`` never produces a wrong or missing structure.
+or the ``auto`` shape rule — against a group, falling back to the
+group's structural default whenever the requested backend cannot serve
+it, so a forced ``--lookup-backend`` never produces a wrong or missing
+structure.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from ...analysis.mgr import Group
 from ...core.classifier import Classifier
+from .selector import select_backend, structural_backend_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..group_engine import GroupIndex
@@ -54,13 +56,7 @@ class LookupBackend:
         """Whether this backend can serve ``group`` exactly."""
         raise NotImplementedError
 
-    def build(
-        self,
-        classifier: Classifier,
-        group: Group,
-        *,
-        cascading: bool = False,
-    ) -> "GroupIndex":
+    def build(self, classifier: Classifier, group: Group) -> "GroupIndex":
         """Construct the lookup structure for ``group``."""
         raise NotImplementedError
 
@@ -106,36 +102,25 @@ def build_with_backend(
     classifier: Classifier,
     group: Group,
     backend: str = AUTO_BACKEND,
-    *,
-    cascading: bool = False,
-    heat: Optional[dict] = None,
-    position: Optional[int] = None,
 ) -> "GroupIndex":
     """Build ``group``'s lookup structure through the registry.
 
-    ``backend`` is a registered name or ``auto``; ``heat`` is the
-    ``groups`` mapping of a :meth:`~repro.obs.heat.HeatProfiler.report`
-    and ``position`` the group's position in the engine (both feed the
-    auto policy).  A named backend that does not support the group falls
-    back to its structural default, so the call always succeeds with a
-    correct structure.  The built index is stamped with its backend name,
-    the build wall-clock and whether it was a fallback.
+    ``backend`` is a registered name or ``auto``.  A named backend that
+    does not support the group falls back to its structural default, so
+    the call always succeeds with a correct structure.  The built index
+    is stamped with its backend name, the build wall-clock and whether
+    it was a fallback.
     """
-    from .adapters import structural_backend_name
-    from .selector import select_backend
-
     requested = backend
     if backend == AUTO_BACKEND:
-        backend = select_backend(
-            classifier, group, heat=heat, position=position
-        )
+        backend = select_backend(classifier, group)
     chosen = get_backend(backend)
     fallback = False
     if not chosen.supports(classifier, group):
-        chosen = get_backend(structural_backend_name(group))
+        chosen = get_backend(structural_backend_name(classifier, group))
         fallback = True
     start = time.perf_counter()
-    index = chosen.build(classifier, group, cascading=cascading)
+    index = chosen.build(classifier, group)
     index.build_seconds = time.perf_counter() - start
     index.backend = chosen.name
     index.backend_requested = requested

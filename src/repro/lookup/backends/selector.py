@@ -1,100 +1,72 @@
-"""Heat-driven per-group backend selection (the ``auto`` policy).
+"""Per-group backend selection from the group's shape (the ``auto``
+policy).
 
-"Self-Adjusting Packet Classification" (arXiv 2109.15090) shows the
-winning structure depends on live traffic, not just static shape — so
-``auto`` folds three signals into a per-group pick:
+Which structure serves a group follows from its size and fields alone:
 
-* **size** — tiny groups are fastest under the vectorized linear scan
-  (no pointer chasing, no build cost); structures only pay off past
-  :data:`LINEAR_CUTOVER` members;
-* **field count** — one field admits the interval map, two the segment
-  tree, more only the scan; the learned index additionally needs one
-  provably-disjoint field (checked via the learned backend's
-  ``supports``);
-* **heat** — when a :class:`~repro.obs.heat.HeatProfiler` report is
-  available (e.g. at incremental-rebuild time), a group that produced
-  zero candidates over many probes is *cold*: every probe is a miss, a
-  model cannot beat the classic structure there, and the pick demotes
-  to the structural default.  Hot (or unprofiled) groups of at least
-  :data:`LEARNED_MIN_SIZE` members get the learned index.
+* fewer than :data:`LINEAR_CUTOVER` members → ``linear`` (the vectorized
+  scan has no build cost and the smallest constants);
+* a field on which the members are pairwise disjoint → ``interval``,
+  keyed on that field.  Theorem 2 (Fields Reduction) says such a group
+  needs a lookup on that field only, plus the false-positive check on
+  the other fields;
+* otherwise two fields → ``segment``;
+* otherwise → ``linear``.
 
-The policy is deterministic given (classifier, group, heat), so two
-builds of the same state pick the same backends — which keeps engine
-reports and the benchmark baselines reproducible.
+The last three steps are :func:`structural_backend_name`, which is also
+the fallback when a forced backend cannot serve a group.
+The pick is deterministic given (classifier, group), so two builds of
+the same state pick the same backends.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
+
+import numpy as np
 
 from ...analysis.mgr import Group
 from ...core.classifier import Classifier
-from .adapters import structural_backend_name
-from .registry import get_backend
 
 __all__ = [
-    "LEARNED_MIN_SIZE",
     "LINEAR_CUTOVER",
-    "group_heat_key",
+    "disjoint_field",
     "select_backend",
+    "structural_backend_name",
 ]
 
 #: Below this many members, the vectorized linear scan wins.
 LINEAR_CUTOVER = 16
 
-#: Minimum group size before training a learned model pays off.
-LEARNED_MIN_SIZE = 64
 
-#: A profiled group is "cold" past this many probes with no candidate.
-COLD_PROBES = 1000
-
-
-def group_heat_key(position: int, group: Group) -> str:
-    """The :class:`~repro.obs.heat.HeatProfiler` key the engine records
-    this group under (position + field subset)."""
-    fields = ",".join(str(f) for f in group.fields)
-    return f"g{position}[{fields}]"
-
-
-def _is_cold(
-    heat: Optional[Mapping[str, object]],
-    position: Optional[int],
-    group: Group,
-) -> bool:
-    """True when profiling shows the group absorbs no traffic."""
-    if not heat or position is None:
-        return False
-    entry = heat.get(group_heat_key(position, group))
-    if entry is None:
-        return False
-    if isinstance(entry, Mapping):
-        probes = int(entry.get("probes", 0))
-        candidates = int(entry.get("candidates", 0))
-    else:  # a GroupHeat dataclass
-        probes = int(getattr(entry, "probes", 0))
-        candidates = int(getattr(entry, "candidates", 0))
-    return probes >= COLD_PROBES and candidates == 0
+def disjoint_field(classifier: Classifier, group: Group) -> Optional[int]:
+    """The first group field on which the members are pairwise disjoint,
+    or None.  Order-independence guarantees disjointness on the field
+    *combination*; a single-field group is disjoint on its field by
+    definition, and many two-field groups have one separating field."""
+    lows, highs = classifier.bounds_arrays()
+    members = np.asarray(group.rule_indices, dtype=np.int64)
+    for f in group.fields:
+        lo = lows[members, f]
+        hi = highs[members, f]
+        order = np.argsort(lo, kind="stable")
+        if np.all(lo[order][1:] > hi[order][:-1]):
+            return f
+    return None
 
 
-def select_backend(
-    classifier: Classifier,
-    group: Group,
-    *,
-    heat: Optional[Mapping[str, object]] = None,
-    position: Optional[int] = None,
-) -> str:
-    """Pick a backend name for ``group``.
+def structural_backend_name(classifier: Classifier, group: Group) -> str:
+    """The structure a group's shape calls for: the interval index when
+    one field is pairwise disjoint (Theorem 2 reduces the lookup to that
+    field), the segment tree for two fields, a linear scan otherwise."""
+    if disjoint_field(classifier, group) is not None:
+        return "interval"
+    if len(group.fields) == 2:
+        return "segment"
+    return "linear"
 
-    ``heat`` is the ``groups`` mapping of a heat report (keyed by
-    :func:`group_heat_key`); ``position`` is the group's slot in the
-    engine.  Both are optional — without them the pick is purely
-    structural (size + field count).
-    """
+
+def select_backend(classifier: Classifier, group: Group) -> str:
+    """Pick a backend name for ``group`` from its shape."""
     if group.size < LINEAR_CUTOVER:
         return "linear"
-    if group.size >= LEARNED_MIN_SIZE and not _is_cold(
-        heat, position, group
-    ):
-        if get_backend("learned").supports(classifier, group):
-            return "learned"
-    return structural_backend_name(group)
+    return structural_backend_name(classifier, group)

@@ -7,22 +7,19 @@ candidate is checked on all remaining fields to rule out a false positive
 (Theorem 2).  The highest-priority surviving candidate wins; the catch-all
 backstops everything.
 
-Group probes use a pluggable lookup backend per group
-(:mod:`repro.lookup.backends`): binary search over disjoint intervals,
-the segment-tree two-field index, a vectorized linear scan, or the
-learned range index — picked explicitly or by the heat-driven ``auto``
-policy (:func:`~repro.lookup.backends.select_backend`).  Every backend
-is decision-identical; only the time/memory profile differs.
-
-The ``shadow`` mechanism implements the Section 7.2 insertion trick
-(Example 10): a freshly inserted rule that would need more fields/groups
-can ride along as an extra false-positive check attached to the rules it
-collides with, bounded by the line-rate budget C.
+Group probes use a lookup backend per group
+(:mod:`repro.lookup.backends`): binary search on a field where the
+members are pairwise disjoint, the segment-tree two-field index, or a
+vectorized linear scan — picked from the group's shape by ``auto``
+(:func:`~repro.lookup.backends.select_backend`) or forced by name.
+Every backend is decision-identical; only the time/memory profile
+differs.
 """
 
 from __future__ import annotations
 
 import copy
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -33,8 +30,7 @@ from ..core.classifier import Classifier, MatchResult
 from ..core.intervals import Interval
 from ..core.packet import headers_array
 from ..runtime.telemetry import NULL_RECORDER
-from .cascading import CascadingTwoFieldIndex
-from .interval_map import DisjointIntervalMap
+from .backends import build_with_backend
 from .two_field import TwoFieldIndex
 
 __all__ = ["GroupIndex", "LinearGroupIndex", "MultiGroupEngine", "build_group_index"]
@@ -90,26 +86,14 @@ class GroupIndex:
 
     def reindexed(self, rule_ids: Sequence[int]) -> "GroupIndex":
         """Shallow copy sharing the lookup structure, with slots relabeled
-        by ``rule_ids`` (length = slot count; -1 tombstones a slot).
-
-        The clone carries its backend identity but gets *private* mutable
-        backend state (via :meth:`_on_reindexed`) — counters and pending
-        telemetry must not be shared between the serving engine and a
-        tombstone view, or rebuilds would double-count (and a retired
-        engine could mutate its successor's stats).
-        """
+        by ``rule_ids`` (length = slot count; -1 tombstones a slot)."""
         clone = copy.copy(self)
         clone.rule_ids = np.asarray(rule_ids, dtype=np.int64)
         if clone.rule_ids.shape != self.rule_ids.shape:
             raise ValueError(
                 f"rule_ids must cover all {self.rule_ids.shape[0]} slots"
             )
-        clone._on_reindexed()
         return clone
-
-    def _on_reindexed(self) -> None:
-        """Hook for subclasses holding mutable backend state: give the
-        reindexed clone its own copies.  Default: nothing to carry."""
 
     def __len__(self) -> int:
         """Live (non-tombstoned) rules in the group."""
@@ -120,20 +104,10 @@ class GroupIndex:
         """Stored scalars — the memory half of the backend report."""
         return int(self.rule_ids.size)
 
-    def backend_stats(self) -> Dict[str, object]:
-        """Backend-specific cumulative statistics (learned mispredict
-        rates etc.); empty for stateless structures."""
-        return {}
-
-    def drain_backend_events(self) -> Dict[str, int]:
-        """Event deltas since the last drain, for telemetry counters;
-        empty for stateless structures."""
-        return {}
-
     def backend_report(self) -> Dict[str, object]:
         """Memory + build-cost summary of this index (the report half of
         the :class:`~repro.lookup.backends.LookupBackend` protocol)."""
-        report: Dict[str, object] = {
+        return {
             "backend": self.backend,
             "requested": self.backend_requested,
             "fallback": self.backend_fallback,
@@ -143,10 +117,6 @@ class GroupIndex:
             "memory_items": self.memory_items(),
             "build_seconds": self.build_seconds,
         }
-        stats = self.backend_stats()
-        if stats:
-            report["stats"] = stats
-        return report
 
     def _translate(self, slot: Optional[int]) -> Optional[int]:
         if slot is None:
@@ -155,56 +125,93 @@ class GroupIndex:
         return rid if rid >= 0 else None
 
 
-class _OneFieldIndex(GroupIndex):
+class _IntervalGroupIndex(GroupIndex):
+    """Binary search on a key field where the members are pairwise
+    disjoint (Theorem 2, Fields Reduction): the search finds the only
+    member that can contain the header's key value, and a check on all
+    group fields makes the candidate a match on the group fields.
+    Tombstones need no rebuild, since no other member contains a dead
+    slot's key values."""
+
     backend = "interval"
 
-    def __init__(self, classifier: Classifier, group: Group) -> None:
+    #: Below this batch size the per-header bisect beats numpy's
+    #: per-call overhead (the crossover measured at ~12 headers).
+    VECTOR_MIN_BATCH = 12
+
+    def __init__(
+        self, classifier: Classifier, group: Group, key_field: int
+    ) -> None:
         self.fields = group.fields
         self.rule_ids = np.asarray(group.rule_indices, dtype=np.int64)
-        (f,) = group.fields
-        self._field = f
-        self._map: DisjointIntervalMap[int] = DisjointIntervalMap(
-            (classifier.rules[idx].intervals[f], slot)
-            for slot, idx in enumerate(group.rule_indices)
-        )
+        self._key = key_field
+        lows, highs = classifier.bounds_arrays()
+        order = np.argsort(lows[self.rule_ids, key_field], kind="stable")
+        ranked = self.rule_ids[order]
+        # Row 0 is a sentinel (low -1, high -2 on every field) that sorts
+        # first and contains no header value, so every search lands on a
+        # row and needs no bounds check.  One 1-D array per field, since
+        # numpy gathers 1-D arrays far faster than rows of a 2-D one.
+        sentinel = np.full(1, -1, dtype=lows.dtype)
+        #: (field, lows, highs) per group field, rows in key order.
+        self._columns = [
+            (
+                f,
+                np.concatenate((sentinel, lows[ranked, f])),
+                np.concatenate((sentinel - 1, highs[ranked, f])),
+            )
+            for f in group.fields
+        ]
+        self._key_lo = self._columns[group.fields.index(key_field)][1]
+        #: row -> slot; the sentinel's slot is always masked out.
+        self._slots = np.concatenate(([0], order)).astype(np.int64)
+        # Python copies for the per-header path.
+        self._key_lo_list = self._key_lo.tolist()
+        self._rows = list(zip(
+            zip(*(lo.tolist() for _, lo, _ in self._columns)),
+            zip(*(hi.tolist() for _, _, hi in self._columns)),
+        ))
 
     def probe(self, header: Sequence[int]) -> Optional[int]:
-        return self._translate(self._map.lookup(header[self._field]))
+        row = bisect_right(self._key_lo_list, header[self._key]) - 1
+        lo, hi = self._rows[row]
+        for f, low, high in zip(self.fields, lo, hi):
+            if not low <= header[f] <= high:
+                return None
+        return self._translate(int(self._slots[row]))
 
     def memory_items(self) -> int:
-        return 2 * len(self._map) + int(self.rule_ids.size)
+        bounds = sum(lo.size + hi.size for _, lo, hi in self._columns)
+        return int(bounds + self._slots.size + self.rule_ids.size)
 
     def probe_batch(
         self, headers: Sequence[Sequence[int]], harr: np.ndarray
     ) -> np.ndarray:
-        """Vectorized binary search: one ``searchsorted`` for the whole
-        batch instead of B bisects."""
-        lows, highs, payloads = self._map.bounds()
-        if not lows:
-            return np.full(len(headers), -1, dtype=np.int64)
-        values = harr[:, self._field]
-        lows_arr = np.asarray(lows)
-        pos = np.searchsorted(lows_arr, values, side="right") - 1
-        inside = pos >= 0
-        clamped = np.where(inside, pos, 0)
-        inside &= values <= np.asarray(highs)[clamped]
-        result = self.rule_ids[np.asarray(payloads, dtype=np.int64)[clamped]]
+        """One ``searchsorted`` for the whole batch, then a vectorized
+        containment test per group field.  Small batches, and empty
+        groups (whose sentinel row has no slot), take :meth:`probe`."""
+        if len(headers) < self.VECTOR_MIN_BATCH or not self.rule_ids.size:
+            return super().probe_batch(headers, harr)
+        row = np.searchsorted(self._key_lo, harr[:, self._key], side="right")
+        row -= 1
+        inside = np.ones(len(row), dtype=bool)
+        for f, lo, hi in self._columns:
+            values = harr[:, f]
+            inside &= (lo[row] <= values) & (values <= hi[row])
+        result = self.rule_ids[self._slots[row]]
         return np.where(inside & (result >= 0), result, np.int64(-1))
 
 
 class _TwoFieldGroupIndex(GroupIndex):
     backend = "segment"
 
-    def __init__(
-        self, classifier: Classifier, group: Group, cascading: bool = False
-    ) -> None:
+    def __init__(self, classifier: Classifier, group: Group) -> None:
         self.fields = group.fields
         self.rule_ids = np.asarray(group.rule_indices, dtype=np.int64)
         a, b = group.fields
         self._a = a
         self._b = b
-        structure = CascadingTwoFieldIndex if cascading else TwoFieldIndex
-        self._index = structure(
+        self._index = TwoFieldIndex(
             (
                 classifier.rules[idx].intervals[a],
                 classifier.rules[idx].intervals[b],
@@ -295,32 +302,12 @@ class LinearGroupIndex(GroupIndex):
 
 
 def build_group_index(
-    classifier: Classifier,
-    group: Group,
-    cascading: bool = False,
-    backend: str = "structural",
-    heat: Optional[Dict[str, object]] = None,
-    position: Optional[int] = None,
+    classifier: Classifier, group: Group, backend: str = "auto"
 ) -> GroupIndex:
-    """Build a group's lookup structure through the backend registry.
-
-    ``backend`` is a registered backend name, ``auto`` (the heat-driven
-    selector) or ``structural`` — the historical field-count dispatch:
-    interval map (1 field), segment tree (2, with ``cascading`` picking
-    the fractionally-cascaded variant), linear scan otherwise.
-    """
-    from .backends import build_with_backend, structural_backend_name
-
-    if backend == "structural":
-        backend = structural_backend_name(group)
-    return build_with_backend(
-        classifier,
-        group,
-        backend,
-        cascading=cascading,
-        heat=heat,
-        position=position,
-    )
+    """Build a group's lookup structure through the backend registry:
+    ``backend`` is a registered backend name or ``auto``, the shape rule
+    of :func:`~repro.lookup.backends.select_backend`."""
+    return build_with_backend(classifier, group, backend)
 
 
 @dataclass
@@ -331,7 +318,6 @@ class EngineStats:
     probes: int = 0
     candidates: int = 0
     false_positives: int = 0
-    shadow_checks: int = 0
 
 
 class MultiGroupEngine:
@@ -347,30 +333,19 @@ class MultiGroupEngine:
         self,
         classifier: Classifier,
         groups: Iterable[Group],
-        shadow: Optional[Dict[int, Tuple[int, ...]]] = None,
-        cascading: bool = False,
         recorder=None,
         prebuilt: Optional[Sequence[GroupIndex]] = None,
         backend: str = "auto",
-        heat: Optional[Dict[str, object]] = None,
     ) -> None:
         self.classifier = classifier
-        #: Backend spec the engine was built with (``auto`` or a forced
-        #: name) — rebuilds re-resolve it against fresh group shapes.
-        self.backend_spec = backend
         if prebuilt is not None:
             # Incremental rebuilds hand over already-constructed (possibly
             # reindexed / tombstoned) group indexes; ``groups`` is ignored.
             self.groups = list(prebuilt)
         else:
             self.groups = [
-                build_group_index(
-                    classifier, g, cascading,
-                    backend=backend, heat=heat, position=i,
-                )
-                for i, g in enumerate(groups)
+                build_group_index(classifier, g, backend) for g in groups
             ]
-        self.shadow: Dict[int, Tuple[int, ...]] = dict(shadow or {})
         self.stats = EngineStats()
         #: Telemetry sink (``groups.*`` counters, ``engine.group_probe``
         #: spans, per-group heat); the null recorder keeps it free.
@@ -387,17 +362,9 @@ class MultiGroupEngine:
         return sum(len(g) for g in self.groups)
 
     def backend_summary(self) -> List[Dict[str, object]]:
-        """Per-group backend reports (name, fallback, memory, build cost,
-        backend-specific stats), in group order."""
+        """Per-group backend reports (name, fallback, memory, build
+        cost), in group order."""
         return [g.backend_report() for g in self.groups]
-
-    @property
-    def shadow_load(self) -> int:
-        """Worst-case extra false-positive checks on any candidate — must
-        stay within the line-rate budget C (Section 7.2)."""
-        if not self.shadow:
-            return 0
-        return max(len(v) for v in self.shadow.values())
 
     def lookup(self, header: Sequence[int]) -> Optional[int]:
         """Best (lowest) matching body-rule index across all groups, after
@@ -416,10 +383,6 @@ class MultiGroupEngine:
                     best = candidate
             else:
                 self.stats.false_positives += 1
-            for extra in self.shadow.get(candidate, ()):
-                self.stats.shadow_checks += 1
-                if rules[extra].matches(header) and (best is None or extra < best):
-                    best = extra
         return best
 
     def lookup_batch(
@@ -447,8 +410,6 @@ class MultiGroupEngine:
             harr = headers_array(headers, self.classifier.schema)
         lows, highs = self.classifier.bounds_arrays()
         best = np.full(n, -1, dtype=np.int64)
-        shadow = self.shadow
-        rules = self.classifier.rules
         for gi, group in enumerate(self.groups):
             stats.probes += n
             span = (
@@ -492,19 +453,6 @@ class MultiGroupEngine:
                         f"lookup.backend.{group.backend}.candidates",
                         candidates,
                     )
-                events = group.drain_backend_events()
-                if events:
-                    for name, value in events.items():
-                        recorder.incr(
-                            f"lookup.backend.{group.backend}.{name}",
-                            value,
-                        )
-                    probes = events.get("model_probes", 0)
-                    if probes:
-                        recorder.observe(
-                            "lookup.learned.mispredict_rate",
-                            events.get("mispredicts", 0) / probes,
-                        )
                 if heat is not None:
                     heat.record_group(
                         self._group_keys[gi],
@@ -513,20 +461,6 @@ class MultiGroupEngine:
                         fp_failures=fp_failures,
                         hits=verified_hits,
                     )
-            if shadow:
-                # Rare path (fresh dynamic inserts riding as extra checks):
-                # only headers whose candidate hosts shadows take the loop.
-                for j in has:
-                    extras = shadow.get(int(cand[j]))
-                    if not extras:
-                        continue
-                    header = headers[j]
-                    for extra in extras:
-                        stats.shadow_checks += 1
-                        if rules[extra].matches(header) and (
-                            best[j] < 0 or extra < best[j]
-                        ):
-                            best[j] = extra
         return best
 
     def match(self, header: Sequence[int]) -> MatchResult:

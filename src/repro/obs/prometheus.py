@@ -167,29 +167,6 @@ _COUNTER_PATTERN_HELP = (
         "Candidate rules this backend's probes produced for full-field "
         "verification.",
     ),
-    (
-        re.compile(r"^lookup\.backend\.\w+\.model_probes$"),
-        "Probes answered by the learned range model.",
-    ),
-    (
-        re.compile(r"^lookup\.backend\.\w+\.center_hits$"),
-        "Learned-model probes whose predicted slot was exactly right.",
-    ),
-    (
-        re.compile(r"^lookup\.backend\.\w+\.window_hits$"),
-        "Learned-model probes resolved inside the guaranteed error "
-        "window around the prediction.",
-    ),
-    (
-        re.compile(r"^lookup\.backend\.\w+\.fallbacks$"),
-        "Learned-model probes that fell back to the exact searchsorted "
-        "path (window exceeded).",
-    ),
-    (
-        re.compile(r"^lookup\.backend\.\w+\.mispredicts$"),
-        "Learned-model probes not answered by the predicted slot "
-        "(window hits + fallbacks).",
-    ),
 )
 
 
@@ -219,10 +196,6 @@ _HISTOGRAM_HELP = {
         "(includes coalescer queueing)."
     ),
     "net.batch": "Coalesced lookup latency (the vectorized match_batch).",
-    "lookup.learned.mispredict_rate": (
-        "Per-lookup mispredict fraction of the learned range model "
-        "(rate histogram, not seconds)."
-    ),
 }
 
 #: Curated HELP for the per-stage waterfall histograms (suffix keyed;

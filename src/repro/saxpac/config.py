@@ -42,15 +42,13 @@ class EngineConfig:
         Apply (β,l)-MRCC so an I-match preempts the D lookup (Section 4.3).
     d_capacity:
         Row capacity of the TCAM holding D; None = unbounded.
-    use_cascading:
-        Use the fractionally-cascaded two-field index (O(log N) probes)
-        instead of the plain segment-tree variant (O(log^2 N)).
     lookup_backend:
         Per-group lookup structure: a registered backend name
-        (``interval``, ``segment``, ``linear``, ``learned``) forced on
-        every group, or ``auto`` (default) for the heat-driven selector
-        (:func:`repro.lookup.backends.select_backend`).  Every backend
-        is decision-identical; this only moves time and memory around.
+        (``interval``, ``segment``, ``linear``) forced on every group
+        (a group it cannot serve falls back to its structural default),
+        or ``auto`` (default) for the shape rule of
+        :func:`repro.lookup.backends.select_backend`.  Every backend is
+        decision-identical; this only moves time and memory around.
     """
 
     max_group_fields: int = 2
@@ -59,7 +57,6 @@ class EngineConfig:
     fp_budget: int = 1
     enforce_cache: bool = False
     d_capacity: Optional[int] = None
-    use_cascading: bool = False
     lookup_backend: str = "auto"
 
     def __post_init__(self) -> None:

@@ -32,7 +32,7 @@ from ..chaos.injector import NULL_INJECTOR
 from ..core.actions import Action
 from ..core.classifier import Classifier, MatchResult
 from ..core.packet import headers_array
-from ..lookup.group_engine import MultiGroupEngine
+from ..lookup.group_engine import MultiGroupEngine, build_group_index
 from ..runtime.telemetry import NULL_RECORDER
 from ..tcam.encoding import BinaryRangeEncoder, RangeEncoder
 from ..tcam.tcam import build_tcam
@@ -66,14 +66,11 @@ class EngineReport:
     #: prior structures rather than a from-scratch compile.
     build_incremental: bool = field(default=False, compare=False)
     #: Lookup backend serving each group, in group order (``interval``,
-    #: ``segment``, ``linear`` or ``learned``).  Like the timing fields,
-    #: the backend assignment is an implementation detail, not structure:
-    #: it stays out of equality so two decision-identical builds compare
-    #: equal even when the auto policy picked differently.
+    #: ``segment`` or ``linear``).  Like the timing fields, the backend
+    #: assignment is an implementation detail, not structure: it stays
+    #: out of equality so two decision-identical builds compare equal
+    #: even when they were built with different backends.
     group_backends: Tuple[str, ...] = field(default=(), compare=False)
-    #: Aggregate mispredict rate of the learned backend's model probes
-    #: (0.0 when no learned group exists or none has been probed yet).
-    learned_mispredict_rate: float = field(default=0.0, compare=False)
 
     @property
     def software_fraction(self) -> float:
@@ -168,17 +165,6 @@ class SaxPacEngine:
         opens an ``engine.build.<name>`` span when tracing is on."""
         return _BuildStage(name, stages, self.recorder)
 
-    def _heat_groups(self) -> Optional[dict]:
-        """Per-group traffic heat (the ``auto`` selector's signal), or
-        None when the recorder carries no profiler.  Keys follow
-        :func:`repro.lookup.backends.selector.group_heat_key`, which is
-        exactly how :class:`~repro.lookup.group_engine.MultiGroupEngine`
-        records probes — so rebuilds re-pick against live traffic."""
-        heat = getattr(self.recorder, "heat", None)
-        if heat is None:
-            return None
-        return heat.report().get("groups")
-
     def _build(self) -> None:
         cfg = self.config
         classifier = self.classifier
@@ -212,10 +198,8 @@ class SaxPacEngine:
             self.software = MultiGroupEngine(
                 classifier,
                 grouping.groups,
-                cascading=cfg.use_cascading,
                 recorder=self.recorder,
                 backend=cfg.lookup_backend,
-                heat=self._heat_groups(),
             )
         self._d_indices: Tuple[int, ...] = grouping.ungrouped
         with self._stage("tcam", stages):
@@ -274,17 +258,15 @@ class SaxPacEngine:
         old_to_new, added = plan
         with self._stage("grouping", stages):
             l = min(cfg.max_group_fields, new_classifier.num_fields)
-            #: (old position, old index, relabeled rule_ids) per carried
-            #: group — the backend re-pick in the lookup stage needs the
-            #: old position to read heat recorded under the old engine.
-            carried: List[Tuple[int, object, np.ndarray]] = []
-            for pos, index in enumerate(self.software.groups):
+            #: (old index, relabeled rule_ids) per carried group.
+            carried: List[Tuple[object, np.ndarray]] = []
+            for index in self.software.groups:
                 ids = index.rule_ids
                 mapped = np.where(
                     ids >= 0, old_to_new[np.maximum(ids, 0)], np.int64(-1)
                 )
                 if (mapped >= 0).any():
-                    carried.append((pos, index, mapped))
+                    carried.append((index, mapped))
             spill: set = set()
             delta_groups: List[Group] = []
             if added:
@@ -304,56 +286,16 @@ class SaxPacEngine:
                     else:
                         delta_groups.append(group)
         with self._stage("lookup", stages):
-            from ..lookup.backends import select_backend
-            from ..lookup.group_engine import build_group_index
-
-            heat = (
-                self._heat_groups()
-                if cfg.lookup_backend == "auto"
-                else None
+            indexes = [index.reindexed(mapped) for index, mapped in carried]
+            indexes.extend(
+                build_group_index(new_classifier, g, cfg.lookup_backend)
+                for g in delta_groups
             )
-            indexes = []
-            for pos, index, mapped in carried:
-                live = Group(
-                    rule_indices=tuple(
-                        int(r) for r in mapped if r >= 0
-                    ),
-                    fields=index.fields,
-                )
-                if cfg.lookup_backend == "auto":
-                    # Re-pick against live membership and traffic heat
-                    # (keyed by the group's *old* position, where the
-                    # heat was recorded).  A changed pick forces a fresh
-                    # structure — a reindexed view must never keep
-                    # serving a model the selector just demoted.
-                    pick = select_backend(
-                        new_classifier, live, heat=heat, position=pos
-                    )
-                    if pick != index.backend:
-                        indexes.append(
-                            build_group_index(
-                                new_classifier, live, cfg.use_cascading,
-                                backend=pick,
-                            )
-                        )
-                        continue
-                indexes.append(index.reindexed(mapped))
-            for g in delta_groups:
-                indexes.append(
-                    build_group_index(
-                        new_classifier, g, cfg.use_cascading,
-                        backend=cfg.lookup_backend,
-                        heat=heat,
-                        position=len(indexes),
-                    )
-                )
             software = MultiGroupEngine(
                 new_classifier,
                 (),
-                cascading=cfg.use_cascading,
                 recorder=self.recorder,
                 prebuilt=indexes,
-                backend=cfg.lookup_backend,
             )
         carried_d = [
             int(old_to_new[i]) for i in self._d_indices if old_to_new[i] >= 0
@@ -665,11 +607,6 @@ class SaxPacEngine:
                 tcam_entries_full=-1,
             )
         full_entries = classifier_entry_count(self.classifier, self.encoder)
-        probes = mispredicts = 0
-        for index in self.software.groups:
-            stats = index.backend_stats()
-            probes += int(stats.get("model_probes", 0))
-            mispredicts += int(stats.get("mispredicts", 0))
         return EngineReport(
             total_rules=len(self.classifier.body),
             software_rules=self.software.num_rules,
@@ -684,13 +621,10 @@ class SaxPacEngine:
             group_backends=tuple(
                 g.backend for g in self.software.groups
             ),
-            learned_mispredict_rate=(
-                mispredicts / probes if probes else 0.0
-            ),
         )
 
     def backend_summary(self) -> List[dict]:
         """Per-group lookup-backend reports (name, fallback, memory,
-        build cost, model stats), in group order — the detail behind
+        build cost), in group order — the detail behind
         :attr:`EngineReport.group_backends`."""
         return self.software.backend_summary()

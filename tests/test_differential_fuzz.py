@@ -41,7 +41,7 @@ _HEADERS_PER_EXAMPLE = 12
 
 STYLES = ("acl", "fw", "ipc")
 
-BACKENDS = ("auto", "interval", "segment", "linear", "learned")
+BACKENDS = ("auto", "interval", "segment", "linear")
 
 
 def _assert_agrees(engine, reference: Classifier, headers) -> None:

@@ -10,7 +10,6 @@ from repro.lookup.group_engine import (
     MultiGroupEngine,
     build_group_index,
 )
-from repro.core import Classifier, make_rule, uniform_schema
 from conftest import random_classifier
 
 
@@ -84,50 +83,3 @@ class TestEngineSemantics:
         engine = MultiGroupEngine(example3_classifier, grouping.groups)
         assert engine.num_rules == 5
 
-
-class TestShadow:
-    def test_shadow_rule_found_via_host(self):
-        schema = uniform_schema(2, 5)
-        k = Classifier(
-            schema,
-            [
-                make_rule([(0, 7), (0, 31)], name="host"),
-                make_rule([(2, 5), (3, 3)], name="shadowed"),
-            ],
-        )
-        # Only the host is in the group; the shadowed rule rides along.
-        engine = MultiGroupEngine(
-            k, [Group((0,), (0,))], shadow={0: (1,)}
-        )
-        # Header matching both: min priority (the host) wins.
-        assert engine.lookup((3, 3)) == 0
-        # Header matching only the shadowed region in field 1? The host
-        # covers field 0 fully, so the probe still surfaces it.
-        assert engine.lookup((3, 4)) == 0
-
-    def test_shadow_priority_merge(self):
-        schema = uniform_schema(2, 5)
-        k = Classifier(
-            schema,
-            [
-                make_rule([(2, 5), (3, 3)], name="shadowed"),
-                make_rule([(0, 7), (0, 31)], name="host"),
-            ],
-        )
-        engine = MultiGroupEngine(
-            k, [Group((1,), (0,))], shadow={1: (0,)}
-        )
-        # The shadowed rule has higher priority and must win when both hit.
-        assert engine.lookup((3, 3)) == 0
-        assert engine.lookup((6, 9)) == 1
-        assert engine.stats.shadow_checks >= 1
-
-    def test_shadow_load(self):
-        schema = uniform_schema(1, 4)
-        k = Classifier(schema, [make_rule([(0, 3)]), make_rule([(1, 2)])])
-        engine = MultiGroupEngine(
-            k, [Group((0,), (0,))], shadow={0: (1,)}
-        )
-        assert engine.shadow_load == 1
-        empty = MultiGroupEngine(k, [Group((0,), (0,))])
-        assert empty.shadow_load == 0

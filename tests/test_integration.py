@@ -48,7 +48,6 @@ class TestFullPipeline:
                 max_groups=4,
                 min_group_size=2,
                 enforce_cache=True,
-                use_cascading=True,
             ),
             encoder=SrgeRangeEncoder(),
         )

@@ -1,13 +1,10 @@
-"""The pluggable lookup-backend subsystem: registry, selector, learned
-index, and the decision-identity contract.
+"""The pluggable lookup-backend subsystem: registry, the shape rule,
+the interval index on a disjoint key field, and the decision-identity
+contract.
 
 The load-bearing property: every backend — forced or auto-picked,
 freshly built or carried through an incremental rebuild — returns
-byte-identical decisions to the linear reference scan.  The learned
-backend additionally proves its window bound (a mispredict can cost
-time, never correctness), and reindexed tombstone views must carry
-private backend state so serving engines and rebuilt clones never share
-counters or a stale model silently.
+byte-identical decisions to the linear reference scan.
 """
 
 from __future__ import annotations
@@ -27,20 +24,11 @@ from repro.lookup.backends import (
     build_with_backend,
     get_backend,
     register_backend,
+    disjoint_field,
     select_backend,
     structural_backend_name,
 )
-from repro.lookup.backends.learned import (
-    LearnedGroupIndex,
-    PiecewiseLinearModel,
-    _disjoint_field,
-)
-from repro.lookup.backends.selector import (
-    COLD_PROBES,
-    LEARNED_MIN_SIZE,
-    LINEAR_CUTOVER,
-    group_heat_key,
-)
+from repro.lookup.backends.selector import LINEAR_CUTOVER
 from repro.lookup.group_engine import LinearGroupIndex
 from repro.runtime.batch import linear_match_batch
 from repro.saxpac.config import EngineConfig
@@ -53,7 +41,7 @@ _SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-BACKENDS = ("interval", "segment", "linear", "learned", "auto")
+BACKENDS = ("interval", "segment", "linear", "auto")
 
 WIDTH = 16
 FULL = (1 << WIDTH) - 1
@@ -62,7 +50,7 @@ FULL = (1 << WIDTH) - 1
 def _disjoint_classifier(n: int) -> Classifier:
     """Two 16-bit fields; body rules pairwise disjoint on field 0 (rule
     ``i`` owns ``[4i, 4i+2]``), full-range on field 1 — so any grouping
-    admits the learned backend on field 0."""
+    admits the interval backend keyed on field 0."""
     schema = uniform_schema(2, WIDTH)
     body = [make_rule([(4 * i, 4 * i + 2), (0, FULL)]) for i in range(n)]
     return Classifier(schema, body)
@@ -70,7 +58,7 @@ def _disjoint_classifier(n: int) -> Classifier:
 
 def _overlapping_group():
     """A 2-field group disjoint only on the field *combination* — no
-    single field is pairwise disjoint, so learned cannot serve it."""
+    single field is pairwise disjoint, so interval cannot serve it."""
     schema = uniform_schema(2, WIDTH)
     k = Classifier(
         schema,
@@ -87,7 +75,7 @@ class TestRegistry:
     def test_names(self):
         names = backend_names()
         assert names == sorted(names)
-        assert {"interval", "segment", "linear", "learned"} <= set(names)
+        assert names == ["interval", "linear", "segment"]
         assert backend_names(include_auto=True)[0] == "auto"
 
     def test_unknown_backend_raises_with_known_names(self):
@@ -127,18 +115,18 @@ class TestBuildWithBackend:
 
     def test_unsupported_backend_falls_back_structurally(self):
         k = _disjoint_classifier(8)
-        two_field = Group(tuple(range(8)), (0, 1))
-        index = build_with_backend(k, two_field, "interval")
-        assert index.backend == structural_backend_name(two_field)
-        assert index.backend == "segment"
-        assert index.backend_requested == "interval"
+        one_field = Group(tuple(range(8)), (0,))
+        index = build_with_backend(k, one_field, "segment")
+        assert index.backend == structural_backend_name(k, one_field)
+        assert index.backend == "interval"
+        assert index.backend_requested == "segment"
         assert index.backend_fallback
 
-    def test_learned_needs_a_disjoint_field(self):
+    def test_interval_needs_a_disjoint_field(self):
         k, group = _overlapping_group()
-        assert _disjoint_field(k, group) is None
-        assert not get_backend("learned").supports(k, group)
-        index = build_with_backend(k, group, "learned")
+        assert disjoint_field(k, group) is None
+        assert not get_backend("interval").supports(k, group)
+        index = build_with_backend(k, group, "interval")
         assert index.backend == "segment"
         assert index.backend_fallback
 
@@ -146,125 +134,104 @@ class TestBuildWithBackend:
 class TestSelector:
     def test_tiny_groups_stay_linear(self):
         k = _disjoint_classifier(LINEAR_CUTOVER - 1)
-        group = Group(tuple(range(LINEAR_CUTOVER - 1)), (0,))
+        group = Group(tuple(range(LINEAR_CUTOVER - 1)), (0, 1))
         assert select_backend(k, group) == "linear"
 
     def test_mid_size_groups_pick_structural(self):
+        """A 16-63-member two-field group with a disjoint field picks
+        the interval index keyed on that field."""
         n = LINEAR_CUTOVER + 4
-        assert n < LEARNED_MIN_SIZE
         k = _disjoint_classifier(n)
+        group = Group(tuple(range(n)), (0, 1))
+        assert disjoint_field(k, group) == 0
+        assert select_backend(k, group) == "interval"
         assert select_backend(k, Group(tuple(range(n)), (0,))) == "interval"
 
-    def test_large_disjoint_groups_pick_learned(self):
-        n = LEARNED_MIN_SIZE
+    def test_disjoint_groups_pick_interval(self):
+        n = 4 * LINEAR_CUTOVER
         k = _disjoint_classifier(n)
-        assert select_backend(k, Group(tuple(range(n)), (0,))) == "learned"
-
-    def test_cold_heat_demotes_to_structural(self):
-        n = LEARNED_MIN_SIZE
-        k = _disjoint_classifier(n)
-        group = Group(tuple(range(n)), (0,))
-        key = group_heat_key(0, group)
-        cold = {key: {"probes": COLD_PROBES, "candidates": 0}}
-        assert (
-            select_backend(k, group, heat=cold, position=0) == "interval"
-        )
-        warm = {key: {"probes": COLD_PROBES, "candidates": 5}}
-        assert (
-            select_backend(k, group, heat=warm, position=0) == "learned"
-        )
-        # Without a position the heat signal cannot apply.
-        assert select_backend(k, group, heat=cold) == "learned"
+        assert select_backend(k, Group(tuple(range(n)), (0, 1))) == "interval"
+        # Disjoint only on the field *combination*: the segment tree
+        # serves two fields, a linear scan serves more.
+        schema = uniform_schema(3, WIDTH)
+        body = [
+            make_rule([(i % 4, i % 4), (i // 4, i // 4), (0, FULL)])
+            for i in range(LINEAR_CUTOVER)
+        ]
+        grid = Classifier(schema, body)
+        members = tuple(range(LINEAR_CUTOVER))
+        assert select_backend(grid, Group(members, (0, 1))) == "segment"
+        assert select_backend(grid, Group(members, (0, 1, 2))) == "linear"
 
 
-class TestPiecewiseLinearModel:
-    @given(
-        st.lists(
-            st.tuples(st.integers(1, 50), st.integers(0, 30)),
-            min_size=1,
-            max_size=200,
-        )
-    )
-    @_SETTINGS
-    def test_max_error_bounds_all_contained_queries(self, spec):
-        lows, highs = [], []
-        cursor = 0
-        for gap, length in spec:
-            low = cursor + gap
-            lows.append(low)
-            highs.append(low + length)
-            cursor = low + length + 1
-        model = PiecewiseLinearModel(
-            np.asarray(lows, dtype=np.float64),
-            np.asarray(highs, dtype=np.float64),
-        )
-        for slot, (low, high) in enumerate(zip(lows, highs)):
-            for value in (low, high, (low + high) // 2):
-                error = abs(float(model.predict(np.float64(value))) - slot)
-                assert error <= model.max_error + 1e-9
+class TestIntervalGroupIndex:
+    """The interval index on a two-field group keyed on its disjoint
+    field: a candidate still means a match on *all* group fields."""
 
-    def test_monotone(self):
-        lows = np.arange(0, 1000, 10, dtype=np.float64)
-        model = PiecewiseLinearModel(lows, lows + 3)
-        samples = np.linspace(-5, 1005, 400)
-        predictions = model.predict(samples)
-        assert np.all(np.diff(predictions) >= 0)
+    def _narrow_classifier(self, n: int) -> Classifier:
+        """Like :func:`_disjoint_classifier`, but rule ``i`` also needs
+        field 1 in ``[i, i + 8]`` — so a key-field hit can miss on the
+        other group field."""
+        schema = uniform_schema(2, WIDTH)
+        body = [make_rule([(4 * i, 4 * i + 2), (i, i + 8)]) for i in range(n)]
+        return Classifier(schema, body)
 
-
-class TestLearnedGroupIndex:
     def test_matches_linear_scan_on_sweep(self):
         n = 96
-        k = _disjoint_classifier(n)
-        group = Group(tuple(range(n)), (0,))
-        learned = LearnedGroupIndex(k, group)
+        k = self._narrow_classifier(n)
+        group = Group(tuple(range(n)), (0, 1))
+        index = build_with_backend(k, group, "interval")
+        assert index.backend == "interval" and not index.backend_fallback
         linear = LinearGroupIndex(k, group)
-        values = list(range(0, 4 * n + 4))
-        headers = [(v, 0) for v in values]
+        headers = [
+            (v, w) for v in range(0, 4 * n + 4) for w in (0, v // 4, 200)
+        ]
         harr = headers_array(headers, k.schema)
-        got = learned.probe_batch(headers, harr)
+        got = index.probe_batch(headers, harr)
         want = linear.probe_batch(headers, harr)
         assert np.array_equal(got, want)
+        assert (got >= 0).any() and (got < 0).any()
         for header in headers[:: max(1, len(headers) // 64)]:
-            assert learned.probe(header) == linear.probe(header)
-        stats = learned.backend_stats()
-        assert stats["model_probes"] > 0
-        assert 0.0 <= stats["mispredict_rate"] <= 1.0
+            assert index.probe(header) == linear.probe(header)
+
+    def test_key_hit_that_misses_another_field_counts_no_candidate(self):
+        n = 32
+        k = self._narrow_classifier(n)
+        group = Group(tuple(range(n)), (0, 1))
+        index = build_with_backend(k, group, "interval")
+        header = (4 * 5 + 1, 200)  # inside rule 5 on field 0 only
+        assert index.probe(header) is None
+        # One header takes the per-header path, a full batch the
+        # vectorized one; both must drop the key-field hit.
+        for count in (1, 2 * index.VECTOR_MIN_BATCH):
+            headers = [header] * count
+            harr = headers_array(headers, k.schema)
+            assert (index.probe_batch(headers, harr) == -1).all()
+            engine = SaxPacEngine(k, EngineConfig(lookup_backend="interval"))
+            assert engine.report().group_backends == ("interval",)
+            engine.software.lookup_batch(headers, harr)
+            assert engine.software.stats.candidates == 0
 
     def test_tombstones_mask_hits(self):
         n = 80
-        k = _disjoint_classifier(n)
-        learned = LearnedGroupIndex(k, Group(tuple(range(n)), (0,)))
+        k = self._narrow_classifier(n)
+        group = Group(tuple(range(n)), (0, 1))
+        index = build_with_backend(k, group, "interval")
         dead = 5
-        ids = learned.rule_ids.copy()
+        ids = index.rule_ids.copy()
         ids[dead] = -1
-        view = learned.reindexed(ids)
-        header = (4 * dead + 1, 0)
-        assert learned.probe(header) == dead
+        view = index.reindexed(ids)
+        header = (4 * dead + 1, dead)
+        assert index.probe(header) == dead
         assert view.probe(header) is None
-        harr = headers_array([header], k.schema)
-        assert view.probe_batch([header], harr)[0] == -1
-
-    def test_reindexed_view_has_private_backend_state(self):
-        """Satellite fix: reindexed (tombstone) views must not share
-        mutable counters with the serving index — a retired engine must
-        never mutate its successor's stats or double-drain telemetry."""
-        n = 80
-        k = _disjoint_classifier(n)
-        learned = LearnedGroupIndex(k, Group(tuple(range(n)), (0,)))
-        header = (5, 0)
-        learned.probe(header)
-        before = dict(learned.stats)
-        clone = learned.reindexed(list(learned.rule_ids))
-        assert clone.stats == before  # carried snapshot...
-        clone.probe(header)
-        clone.probe(header)
-        assert learned.stats == before  # ...but independent after
-        assert clone.stats["model_probes"] == before["model_probes"] + 2
-        # Pending telemetry deltas drain independently: the original
-        # still holds its pre-clone event, the clone only its own.
-        assert learned.drain_backend_events()["model_probes"] == 1
-        assert clone.drain_backend_events()["model_probes"] == 2
-        assert learned.drain_backend_events() == {}
+        headers = [(4 * i + 1, i) for i in range(n)]
+        harr = headers_array(headers, k.schema)
+        want = np.arange(n)
+        assert np.array_equal(index.probe_batch(headers, harr), want)
+        want[dead] = -1
+        assert np.array_equal(view.probe_batch(headers, harr), want)
+        one = harr[dead:dead + 1]
+        assert view.probe_batch([header], one)[0] == -1
 
 
 class TestEngineEquivalence:
@@ -281,13 +248,13 @@ class TestEngineEquivalence:
             got = [m.index for m in engine.match_batch(headers)]
             assert got == want, f"backend {backend} diverged"
 
-    def test_forced_learned_serves_big_disjoint_group(self):
+    def test_forced_interval_serves_big_disjoint_group(self):
         n = 128
         k = _disjoint_classifier(n)
         engine = SaxPacEngine(
-            k, EngineConfig(lookup_backend="learned")
+            k, EngineConfig(lookup_backend="interval")
         )
-        assert "learned" in engine.report().group_backends
+        assert "interval" in engine.report().group_backends
         headers = [(4 * i + 1, 7) for i in range(n)] + [(4 * n + 9, 0)]
         want = [m.index for m in linear_match_batch(k, headers)]
         got = [m.index for m in engine.match_batch(headers)]
@@ -296,11 +263,11 @@ class TestEngineEquivalence:
 
 class TestEngineReporting:
     def test_report_carries_backends_out_of_equality(self):
-        k = _disjoint_classifier(LEARNED_MIN_SIZE)
+        k = _disjoint_classifier(LINEAR_CUTOVER)
         engine = SaxPacEngine(k, EngineConfig(lookup_backend="auto"))
         report = engine.report()
         assert len(report.group_backends) == report.num_groups
-        assert "learned" in report.group_backends
+        assert "interval" in report.group_backends
         # Backend assignment is an implementation detail: two
         # decision-identical builds must still compare equal.
         relabeled = dataclasses.replace(
@@ -309,7 +276,7 @@ class TestEngineReporting:
         assert relabeled == report
 
     def test_backend_summary_shape(self):
-        k = _disjoint_classifier(LEARNED_MIN_SIZE)
+        k = _disjoint_classifier(LINEAR_CUTOVER)
         engine = SaxPacEngine(k, EngineConfig(lookup_backend="auto"))
         summary = engine.backend_summary()
         assert len(summary) == len(engine.software.groups)
@@ -320,40 +287,19 @@ class TestEngineReporting:
 
 
 class TestRebuildRepick:
-    def test_shrinking_group_demotes_learned_on_rebuild(self):
-        """Satellite fix: when churn drops a group below the learned
-        threshold, the incremental rebuild must re-pick and build a
-        fresh structure — never keep serving a reindexed view of the
-        demoted model."""
-        n = LEARNED_MIN_SIZE + 2
+    def test_carried_group_keeps_reindexed_view_on_rebuild(self):
+        """Carried groups keep their structure as a reindexed view, even
+        when churn shrinks them below the linear cutover."""
+        n = LINEAR_CUTOVER + 2
         k = _disjoint_classifier(n)
         engine = SaxPacEngine(k, EngineConfig(lookup_backend="auto"))
-        assert engine.software.groups[0].backend == "learned"
-        survivors = LEARNED_MIN_SIZE - 2  # small churn: stays incremental
-        shrunk = Classifier(k.schema, k.body[:survivors])
+        assert engine.software.groups[0].backend == "interval"
+        shrunk = Classifier(k.schema, k.body[: LINEAR_CUTOVER - 1])
         rebuilt = engine.rebuild(shrunk)
         assert rebuilt.build_incremental
         group = rebuilt.software.groups[0]
-        assert group.backend == structural_backend_name(group)
-        assert group.backend in ("interval", "segment")
-        assert not isinstance(group, LearnedGroupIndex)
-        headers = [(4 * i + 1, 3) for i in range(n)]
-        want = [m.index for m in linear_match_batch(shrunk, headers)]
-        got = [m.index for m in rebuilt.match_batch(headers)]
-        assert got == want
-
-    def test_stable_group_keeps_learned_view_on_rebuild(self):
-        n = LEARNED_MIN_SIZE + 16
-        k = _disjoint_classifier(n)
-        engine = SaxPacEngine(k, EngineConfig(lookup_backend="auto"))
-        assert engine.software.groups[0].backend == "learned"
-        shrunk = Classifier(k.schema, k.body[: n - 2])
-        rebuilt = engine.rebuild(shrunk)
-        assert rebuilt.build_incremental
-        group = rebuilt.software.groups[0]
-        assert group.backend == "learned"
-        # The carried view shares the model but owns its counters.
-        assert group.stats is not engine.software.groups[0].stats
+        assert group.backend == "interval"
+        assert group._key_lo is engine.software.groups[0]._key_lo
         headers = [(4 * i + 1, 3) for i in range(n)]
         want = [m.index for m in linear_match_batch(shrunk, headers)]
         got = [m.index for m in rebuilt.match_batch(headers)]
@@ -363,14 +309,18 @@ class TestRebuildRepick:
         n = 48
         k = _disjoint_classifier(n)
         engine = SaxPacEngine(
-            k, EngineConfig(lookup_backend="learned")
+            k, EngineConfig(lookup_backend="segment")
         )
-        assert engine.software.groups[0].backend == "learned"
-        shrunk = Classifier(k.schema, k.body[: n - 2])
-        rebuilt = engine.rebuild(shrunk)
-        assert rebuilt.software.groups[0].backend == "learned"
-        headers = [(4 * i + 1, 3) for i in range(n)]
-        want = [m.index for m in linear_match_batch(shrunk, headers)]
+        assert engine.software.groups[0].backend == "segment"
+        added = make_rule([(4 * n, 4 * n + 2), (0, 9)])
+        grown = Classifier(k.schema, list(k.body) + [added])
+        rebuilt = engine.rebuild(grown)
+        assert rebuilt.build_incremental
+        assert {g.backend_requested for g in rebuilt.software.groups} == {
+            "segment"
+        }
+        headers = [(4 * i + 1, 3) for i in range(n + 1)]
+        want = [m.index for m in linear_match_batch(grown, headers)]
         got = [m.index for m in rebuilt.match_batch(headers)]
         assert got == want
 
@@ -379,21 +329,21 @@ class TestServingSurfaces:
     def test_service_snapshot_exposes_backends(self):
         from repro.runtime.service import RuntimeConfig, RuntimeService
 
-        k = _disjoint_classifier(LEARNED_MIN_SIZE)
+        k = _disjoint_classifier(LINEAR_CUTOVER)
         config = RuntimeConfig(
             engine=EngineConfig(lookup_backend="auto")
         )
         with RuntimeService(k, config) as service:
             summary = service.backend_summary()
             assert summary is not None
-            assert summary[0]["backend"] == "learned"
+            assert summary[0]["backend"] == "interval"
             payload = service.info_payload()
             assert payload["lookup_backends"] == summary
             server = service.serve_metrics(port=0)
             snapshot = server.render_snapshot()
             assert "lookup_backends" in snapshot
             assert (
-                snapshot["lookup_backends"][0]["backend"] == "learned"
+                snapshot["lookup_backends"][0]["backend"] == "interval"
             )
 
     def test_render_top_annotates_backends(self):
@@ -411,28 +361,21 @@ class TestServingSurfaces:
                       "fp_failures": 0, "fp_rate": 0.0, "hits": 2},
             },
         }
-        text = render_top(report, backends={"g0[0]": "learned"})
-        assert "backend=learned" in text
+        text = render_top(report, backends={"g0[0]": "interval"})
+        assert "backend=interval" in text
         assert "d " in text  # the D pseudo-stage stays unannotated
 
 
 class TestTelemetryCounters:
-    def test_backend_counters_and_mispredict_histogram(self):
+    def test_backend_probe_counters(self):
         from repro.runtime.telemetry import Telemetry
 
-        n = LEARNED_MIN_SIZE + 8
+        n = LINEAR_CUTOVER + 8
         k = _disjoint_classifier(n)
         recorder = Telemetry()
-        engine = SaxPacEngine(
-            k,
-            EngineConfig(lookup_backend="learned"),
-            recorder=recorder,
-        )
+        engine = SaxPacEngine(k, recorder=recorder)
         headers = [(4 * i + 1, 3) for i in range(32)]
         engine.match_batch(headers)
-        snapshot = recorder.snapshot()
-        counters = snapshot.counters
-        assert counters.get("lookup.backend.learned.probes", 0) >= 32
-        assert counters.get("lookup.backend.learned.model_probes", 0) >= 32
-        stats = snapshot.latencies.get("lookup.learned.mispredict_rate")
-        assert stats is not None and stats.count >= 1
+        counters = recorder.snapshot().counters
+        assert counters.get("lookup.backend.interval.probes", 0) >= 32
+        assert counters.get("lookup.backend.interval.candidates", 0) >= n

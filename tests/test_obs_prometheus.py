@@ -164,7 +164,7 @@ class TestHelpCoverage:
             "net.shed",
             "net.coalesced_requests",
             "lookup.backend.interval.probes",
-            "lookup.backend.learned.candidates",
+            "lookup.backend.segment.candidates",
             "engine.group_probes",
         ):
             tel.incr(counter, 3)
@@ -204,7 +204,7 @@ class TestHelpCoverage:
             "saxpac_net_shed_total",
             "saxpac_net_coalesced_requests_total",
             "saxpac_lookup_backend_interval_probes_total",
-            "saxpac_lookup_backend_learned_candidates_total",
+            "saxpac_lookup_backend_segment_candidates_total",
             "saxpac_net_request_latency_seconds",
             "saxpac_stage_lookup_seconds",
             "saxpac_net_inflight",
