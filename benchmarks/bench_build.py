@@ -9,7 +9,7 @@ Builds a :class:`~repro.saxpac.engine.SaxPacEngine` over a generated
 classifier and reports:
 
 * **full build** wall-clock with the per-stage breakdown (disjointness →
-  grouping → lookup-structure construction → TCAM encoding) straight from
+  grouping → lookup-structure construction) straight from
   ``EngineReport.build_stages``;
 * the same classifier compiled through the **reference scans**
   (:func:`~repro.analysis.mgr.l_mgr_reference` + the rule-at-a-time

@@ -5,7 +5,9 @@ Standalone script (not a pytest-benchmark module) so CI can gate on it:
     python benchmarks/bench_obs_overhead.py --quick \
         --baseline BENCH_runtime.json
 
-Replays the same batched workload as ``bench_runtime.py`` through three
+Replays the same batched workload as ``bench_runtime.py`` (the trace as
+one contiguous uint32 block, the wire form, through
+``match_batch_indices`` in ``--batch-size`` slices) through three
 recorder configurations:
 
 * **disabled** — the default ``NULL_RECORDER`` (what production uses when
@@ -39,12 +41,14 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 if __package__ in (None, ""):  # script invocation: put src/ on the path
     _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
     if os.path.isdir(_SRC) and _SRC not in sys.path:
         sys.path.insert(0, _SRC)
+
+import numpy as np
 
 from repro.obs import Observability
 from repro.runtime.batch import iter_batches
@@ -54,19 +58,19 @@ from repro.workloads.generator import STYLES, generate_classifier
 from repro.workloads.traces import generate_trace
 
 
-def _replay(engine, trace: Sequence, batch_size: int) -> float:
-    """One batched replay; returns packets/sec."""
+def _replay(engine, block: np.ndarray, batch_size: int) -> float:
+    """One batched replay of a wire-form block; returns packets/sec."""
     start = time.perf_counter()
-    for batch in iter_batches(trace, batch_size):
-        engine.match_batch(batch)
+    for batch in iter_batches(block, batch_size):
+        engine.match_batch_indices(batch)
     seconds = time.perf_counter() - start
-    return len(trace) / seconds if seconds else float("inf")
+    return len(block) / seconds if seconds else float("inf")
 
 
-def _measure(engine, trace, batch_size: int, repeats: int) -> dict:
-    rates = [_replay(engine, trace, batch_size) for _ in range(repeats)]
+def _measure(engine, block, batch_size: int, repeats: int) -> dict:
+    rates = [_replay(engine, block, batch_size) for _ in range(repeats)]
     return {
-        "packets": len(trace),
+        "packets": len(block),
         "repeats": repeats,
         "packets_per_second": round(max(rates), 1),
         "packets_per_second_all": [round(r, 1) for r in rates],
@@ -170,15 +174,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # Warm every path once (JITs nothing, but faults pages / fills caches)
     # before timing.
-    warm = trace[: min(len(trace), args.batch_size)]
+    block = np.ascontiguousarray(np.asarray(trace, dtype=np.uint32))
+    warm = block[: min(len(block), args.batch_size)]
     for engine in (disabled_engine, telemetry_engine, obs_engine):
-        engine.match_batch(warm)
+        engine.match_batch_indices(warm)
 
-    disabled = _measure(disabled_engine, trace, args.batch_size,
+    disabled = _measure(disabled_engine, block, args.batch_size,
                         args.repeats)
-    telemetry = _measure(telemetry_engine, trace, args.batch_size,
+    telemetry = _measure(telemetry_engine, block, args.batch_size,
                          args.repeats)
-    full = _measure(obs_engine, trace, args.batch_size, args.repeats)
+    full = _measure(obs_engine, block, args.batch_size, args.repeats)
 
     obs.tracer.export_chrome(args.trace_out)
     obs.heat.to_json(args.heat_out)

@@ -482,8 +482,7 @@ def _cmd_classify(args) -> int:
     import time
 
     t0 = time.perf_counter()
-    for header in trace:
-        engine.match(header)
+    engine.match_batch_indices(trace)
     elapsed = time.perf_counter() - t0
     rate = len(trace) / elapsed if elapsed else float("inf")
     print(f"classified {len(trace)} packets in {elapsed:.2f}s "

@@ -27,8 +27,6 @@ import numpy as np
 
 from ..analysis.mgr import Group
 from ..core.classifier import Classifier, MatchResult
-from ..core.intervals import Interval
-from ..core.packet import headers_array
 from ..runtime.telemetry import NULL_RECORDER
 from .backends import build_with_backend
 from .two_field import TwoFieldIndex
@@ -69,16 +67,14 @@ class GroupIndex:
         """Candidate rule index matching on the group fields, or None."""
         raise NotImplementedError
 
-    def probe_batch(
-        self, headers: Sequence[Sequence[int]], harr: np.ndarray
-    ) -> np.ndarray:
-        """Candidates for a whole batch: int64 array aligned with
-        ``headers``, -1 where the group yields no candidate.  ``harr`` is
-        the :func:`~repro.core.packet.headers_array` view of ``headers``;
+    def probe_batch(self, harr: np.ndarray) -> np.ndarray:
+        """Candidates for a whole batch: int64 array aligned with the
+        rows of ``harr`` (the :func:`~repro.core.packet.headers_array`
+        form of the headers), -1 where the group yields no candidate;
         subclasses with vectorizable structures override this."""
-        out = np.full(len(headers), -1, dtype=np.int64)
+        out = np.full(len(harr), -1, dtype=np.int64)
         probe = self.probe
-        for j, header in enumerate(headers):
+        for j, header in enumerate(harr.tolist()):
             candidate = probe(header)
             if candidate is not None:
                 out[j] = candidate
@@ -184,14 +180,12 @@ class _IntervalGroupIndex(GroupIndex):
         bounds = sum(lo.size + hi.size for _, lo, hi in self._columns)
         return int(bounds + self._slots.size + self.rule_ids.size)
 
-    def probe_batch(
-        self, headers: Sequence[Sequence[int]], harr: np.ndarray
-    ) -> np.ndarray:
+    def probe_batch(self, harr: np.ndarray) -> np.ndarray:
         """One ``searchsorted`` for the whole batch, then a vectorized
         containment test per group field.  Small batches, and empty
         groups (whose sentinel row has no slot), take :meth:`probe`."""
-        if len(headers) < self.VECTOR_MIN_BATCH or not self.rule_ids.size:
-            return super().probe_batch(headers, harr)
+        if len(harr) < self.VECTOR_MIN_BATCH or not self.rule_ids.size:
+            return super().probe_batch(harr)
         row = np.searchsorted(self._key_lo, harr[:, self._key], side="right")
         row -= 1
         inside = np.ones(len(row), dtype=bool)
@@ -227,17 +221,17 @@ class _TwoFieldGroupIndex(GroupIndex):
         slots = self._index.memory_slots
         return int(slots) + int(self.rule_ids.size)
 
-    def probe_batch(
-        self, headers: Sequence[Sequence[int]], harr: np.ndarray
-    ) -> np.ndarray:
+    def probe_batch(self, harr: np.ndarray) -> np.ndarray:
         """Per-header tree walks with the dispatch hoisted out of the
         loop (the segment-tree path itself is not batch-vectorizable)."""
-        out = np.full(len(headers), -1, dtype=np.int64)
+        out = np.full(len(harr), -1, dtype=np.int64)
         lookup = self._index.lookup
         rule_ids = self.rule_ids
         a, b = self._a, self._b
-        for j, header in enumerate(headers):
-            slot = lookup(header[a], header[b])
+        for j, (va, vb) in enumerate(
+            zip(harr[:, a].tolist(), harr[:, b].tolist())
+        ):
+            slot = lookup(va, vb)
             if slot is not None:
                 out[j] = rule_ids[slot]
         return out
@@ -253,51 +247,40 @@ class LinearGroupIndex(GroupIndex):
     def __init__(self, classifier: Classifier, group: Group) -> None:
         self.fields = group.fields
         self.rule_ids = np.asarray(group.rule_indices, dtype=np.int64)
-        self._members: List[Tuple[int, Tuple[Interval, ...]]] = [
-            (
-                slot,
-                tuple(classifier.rules[idx].intervals[f] for f in group.fields),
-            )
-            for slot, idx in enumerate(group.rule_indices)
-        ]
-        self._bounds: Optional[Tuple[np.ndarray, ...]] = None
+        # (members, group fields) bounds, dtype-matched to
+        # :func:`headers_array` (Python objects for fields over 62 bits,
+        # so values near 2**64 are compared exactly).
+        lows, highs = classifier.bounds_arrays()
+        fields = list(group.fields)
+        self._lo = lows[self.rule_ids][:, fields]
+        self._hi = highs[self.rule_ids][:, fields]
 
     def memory_items(self) -> int:
-        return 2 * len(self._members) * len(self.fields) + int(
-            self.rule_ids.size
-        )
+        return int(self._lo.size + self._hi.size + self.rule_ids.size)
 
     def probe(self, header: Sequence[int]) -> Optional[int]:
         """Linear scan over members, matching only the group fields."""
-        values = [header[f] for f in self.fields]
-        for slot, intervals in self._members:
-            if all(iv.contains(v) for iv, v in zip(intervals, values)):
-                return self._translate(slot)
-        return None
+        values = np.asarray(
+            [[header[f] for f in self.fields]], dtype=self._lo.dtype
+        )
+        rid = int(self._scan(values)[0])
+        return rid if rid >= 0 else None
 
-    def probe_batch(
-        self, headers: Sequence[Sequence[int]], harr: np.ndarray
-    ) -> np.ndarray:
+    def probe_batch(self, harr: np.ndarray) -> np.ndarray:
+        return self._scan(harr[:, list(self.fields)])
+
+    def _scan(self, values: np.ndarray) -> np.ndarray:
         """Vectorized scan: one containment test over the (B, M, f) cube.
         Order-independence on the group fields means at most one member
         matches, so 'first match' needs no tie-breaking."""
-        if not self._members:
-            return np.full(len(headers), -1, dtype=np.int64)
-        if self._bounds is None:
-            slots = np.asarray([m for m, _ in self._members], dtype=np.int64)
-            lo = np.asarray(
-                [[iv.low for iv in ivs] for _, ivs in self._members]
-            )
-            hi = np.asarray(
-                [[iv.high for iv in ivs] for _, ivs in self._members]
-            )
-            self._bounds = (slots, lo, hi)
-        slots, lo, hi = self._bounds
-        values = harr[:, list(self.fields)]
+        if not self.rule_ids.size:
+            return np.full(len(values), -1, dtype=np.int64)
         cube = values[:, None, :]
-        ok = ((lo[None, :, :] <= cube) & (cube <= hi[None, :, :])).all(axis=2)
+        ok = (
+            (self._lo[None, :, :] <= cube) & (cube <= self._hi[None, :, :])
+        ).all(axis=2)
         hit = ok.any(axis=1)
-        result = self.rule_ids[slots[ok.argmax(axis=1)]]
+        result = self.rule_ids[ok.argmax(axis=1)]
         return np.where(hit & (result >= 0), result, np.int64(-1))
 
 
@@ -385,20 +368,18 @@ class MultiGroupEngine:
                 self.stats.false_positives += 1
         return best
 
-    def lookup_batch(
-        self,
-        headers: Sequence[Sequence[int]],
-        harr: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Batched :meth:`lookup`: best verified body-rule index per
-        header (int64, -1 where no group rule matches).
+    def lookup_batch(self, harr: np.ndarray) -> np.ndarray:
+        """Batched :meth:`lookup` over the rows of ``harr`` (the
+        :func:`~repro.core.packet.headers_array` form of the headers):
+        best verified body-rule index per header (int64, -1 where no
+        group rule matches).
 
         Probes each group index once for the whole batch, then verifies
         every candidate on all fields in one vectorized containment test
         against :meth:`Classifier.bounds_arrays`.  Stats are updated in
         aggregate; results are identical to per-header :meth:`lookup`.
         """
-        n = len(headers)
+        n = len(harr)
         stats = self.stats
         stats.lookups += n
         if n == 0:
@@ -406,8 +387,6 @@ class MultiGroupEngine:
         recorder = self.recorder
         instrumented = recorder.enabled
         heat = recorder.heat if instrumented else None
-        if harr is None:
-            harr = headers_array(headers, self.classifier.schema)
         lows, highs = self.classifier.bounds_arrays()
         best = np.full(n, -1, dtype=np.int64)
         for gi, group in enumerate(self.groups):
@@ -422,7 +401,7 @@ class MultiGroupEngine:
             )
             if span is not None:
                 span.__enter__()
-            cand = group.probe_batch(headers, harr)
+            cand = group.probe_batch(harr)
             has = np.nonzero(cand >= 0)[0]
             candidates = fp_failures = verified_hits = 0
             if has.size:

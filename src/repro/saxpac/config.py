@@ -40,8 +40,6 @@ class EngineConfig:
         line rate (Section 7.2); used by dynamic updates.
     enforce_cache:
         Apply (β,l)-MRCC so an I-match preempts the D lookup (Section 4.3).
-    d_capacity:
-        Row capacity of the TCAM holding D; None = unbounded.
     lookup_backend:
         Per-group lookup structure: a registered backend name
         (``interval``, ``segment``, ``linear``) forced on every group
@@ -56,7 +54,6 @@ class EngineConfig:
     min_group_size: int = 1
     fp_budget: int = 1
     enforce_cache: bool = False
-    d_capacity: Optional[int] = None
     lookup_backend: str = "auto"
 
     def __post_init__(self) -> None:

@@ -1,4 +1,4 @@
-"""The hybrid SAX-PAC engine: software groups + TCAM remainder.
+"""The hybrid SAX-PAC engine: software groups + order-dependent remainder.
 
 Build pipeline (Sections 4 and 8):
 
@@ -11,7 +11,10 @@ Build pipeline (Sections 4 and 8):
    groups fold into the order-dependent part D.
 3. **Optional MRCC** — demote I rules that intersect higher-priority D
    rules so an I match can preempt the (power-hungry) D lookup entirely.
-4. **Programming** — D expands into the TCAM simulator at full width.
+4. **Report-only entry accounting** — D is served from its columnar
+   interval bounds; the TCAM entries it would occupy at full width are
+   counted arithmetically (:func:`~repro.tcam.encoding.rule_entry_count`)
+   when :meth:`SaxPacEngine.report` asks, and never programmed.
 
 Lookup issues the group probes and the D probe "in parallel" (simulated
 sequentially), false-positive-checks the single candidate per group, and
@@ -34,8 +37,7 @@ from ..core.classifier import Classifier, MatchResult
 from ..core.packet import headers_array
 from ..lookup.group_engine import MultiGroupEngine, build_group_index
 from ..runtime.telemetry import NULL_RECORDER
-from ..tcam.encoding import BinaryRangeEncoder, RangeEncoder
-from ..tcam.tcam import build_tcam
+from ..tcam.encoding import BinaryRangeEncoder, RangeEncoder, rule_entry_count
 from .config import EngineConfig
 
 __all__ = ["SaxPacEngine", "EngineReport"]
@@ -202,13 +204,6 @@ class SaxPacEngine:
                 backend=cfg.lookup_backend,
             )
         self._d_indices: Tuple[int, ...] = grouping.ungrouped
-        with self._stage("tcam", stages):
-            self._tcam, self._tcam_view = build_tcam(
-                classifier,
-                encoder=self.encoder,
-                rule_indices=self._d_indices,
-                capacity=cfg.d_capacity,
-            )
         self.d_lookups_skipped = 0
         self._d_bounds: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -236,8 +231,8 @@ class SaxPacEngine:
         removed rules tombstone their slots (sound because members are
         pairwise disjoint on the group fields); added rules are grouped
         among themselves with the same l-MGR admission and become new
-        groups (or spill to D).  D re-encodes through a ternary-pattern
-        cache so only rules new to D pay range expansion.
+        groups (or spill to D).  D is the sorted union of carried D rules
+        and the spill, served from its bounds.
 
         The serving engine is never mutated — shared structures are reused
         read-only, so an RCU-style swap can retire it safely.  Falls back
@@ -301,22 +296,6 @@ class SaxPacEngine:
             int(old_to_new[i]) for i in self._d_indices if old_to_new[i] >= 0
         ]
         d_indices = tuple(sorted(set(carried_d) | spill))
-        with self._stage("tcam", stages):
-            cache: dict = {}
-            per_index: dict = {}
-            for record in self._tcam.rows:
-                per_index.setdefault(record.rule_index, (record.rule, []))[
-                    1
-                ].append(record.entry)
-            for rule, entries in per_index.values():
-                cache[rule] = tuple(entries)
-            tcam, tcam_view = build_tcam(
-                new_classifier,
-                encoder=self.encoder,
-                rule_indices=d_indices,
-                capacity=cfg.d_capacity,
-                pattern_cache=cache,
-            )
         groups = tuple(
             Group(
                 rule_indices=tuple(
@@ -335,8 +314,6 @@ class SaxPacEngine:
             grouping=grouping,
             software=software,
             d_indices=d_indices,
-            tcam=tcam,
-            tcam_view=tcam_view,
             stages=tuple(stages),
             injector=self.injector,
         )
@@ -390,8 +367,6 @@ class SaxPacEngine:
         grouping: MGRResult,
         software: MultiGroupEngine,
         d_indices: Tuple[int, ...],
-        tcam,
-        tcam_view,
         stages: Tuple[Tuple[str, float], ...],
         injector=None,
     ) -> "SaxPacEngine":
@@ -404,8 +379,6 @@ class SaxPacEngine:
         self.grouping = grouping
         self.software = software
         self._d_indices = d_indices
-        self._tcam = tcam
-        self._tcam_view = tcam_view
         self.d_lookups_skipped = 0
         self._d_bounds = None
         self.build_stages = stages
@@ -417,43 +390,8 @@ class SaxPacEngine:
     # Classification
     # ------------------------------------------------------------------
     def match(self, header: Sequence[int]) -> MatchResult:
-        """Highest-priority match across the software part, the TCAM part
-        and the catch-all."""
-        if self.injector.enabled:
-            self.injector.fire("engine.lookup", batch=1)
-        recorder = self.recorder
-        if recorder.enabled:
-            start = time.perf_counter()
-        software_best = self.software.lookup(header)
-        skip_d = (
-            software_best is not None and self.config.enforce_cache
-        )
-        if skip_d:
-            # MRCC guarantees no higher-priority D rule can also match.
-            self.d_lookups_skipped += 1
-            tcam_best: Optional[int] = None
-        else:
-            tcam_best = self._tcam_view.match_index(header)
-        candidates = [c for c in (software_best, tcam_best) if c is not None]
-        index = min(candidates) if candidates else len(self.classifier.rules) - 1
-        if recorder.enabled:
-            recorder.incr("engine.lookups")
-            recorder.incr("engine.group_probes", len(self.software.groups))
-            if software_best is not None:
-                recorder.incr("engine.software_hits")
-            recorder.incr(
-                "engine.d_skipped" if skip_d else "engine.d_probes"
-            )
-            if tcam_best is not None:
-                recorder.incr("engine.tcam_hits")
-            recorder.observe("engine.match", time.perf_counter() - start)
-            heat = recorder.heat
-            if heat is not None:
-                heat.record_rules((index,))
-                if tcam_best is not None and tcam_best == index:
-                    heat.record_group("d", probes=1, hits=1)
-                elif not skip_d:
-                    heat.record_group("d", probes=1)
+        """One header through :meth:`match_batch_indices`."""
+        index = int(self.match_batch_indices([header])[0])
         return MatchResult(index, self.classifier.rules[index])
 
     def match_batch(
@@ -464,9 +402,7 @@ class SaxPacEngine:
         Each group index is probed once for the whole batch (vectorized
         where the structure allows), candidate verification runs as one
         containment test, and the order-dependent part D is matched with a
-        vectorized first-match over its interval bounds instead of the
-        row-at-a-time TCAM walk.  TCAM lookup/activation counters advance
-        in aggregate so power-proxy experiments stay comparable.
+        vectorized first-match over its interval bounds.
         """
         rules = self.classifier.rules
         return [
@@ -499,7 +435,7 @@ class SaxPacEngine:
         rules = self.classifier.rules
         catch_all = len(rules) - 1
         harr = headers_array(headers, self.classifier.schema)
-        soft = self.software.lookup_batch(headers, harr)
+        soft = self.software.lookup_batch(harr)
         hit = soft >= 0
         if self.config.enforce_cache:
             need_d = ~hit
@@ -508,9 +444,6 @@ class SaxPacEngine:
             need_d = np.ones(n, dtype=bool)
         best = np.where(hit, soft, np.int64(catch_all))
         probed = int(need_d.sum())
-        # One simulated TCAM cycle per non-skipped packet.
-        self._tcam.lookups += probed
-        self._tcam.row_activations += probed * len(self._tcam)
         d_hits = 0
         if probed and self._d_indices:
             d_span = (
@@ -588,6 +521,9 @@ class SaxPacEngine:
     def report(self) -> EngineReport:
         """Structural summary: decomposition sizes and TCAM savings.
 
+        ``tcam_entries`` is what D would occupy in a full-width TCAM under
+        :attr:`encoder`, counted per rule without expanding it.
+
         Under a chaos plan with an ``engine.report`` corrupt spec, the
         returned report is deliberately nonsensical (negative sizes) —
         consumers must reject it via :meth:`EngineReport.is_sane`.
@@ -606,14 +542,20 @@ class SaxPacEngine:
                 tcam_entries=-1,
                 tcam_entries_full=-1,
             )
-        full_entries = classifier_entry_count(self.classifier, self.encoder)
+        classifier = self.classifier
+        full_entries = classifier_entry_count(classifier, self.encoder)
+        schema = classifier.schema
+        d_entries = sum(
+            rule_entry_count(classifier.rules[i], schema, self.encoder)
+            for i in self._d_indices
+        )
         return EngineReport(
             total_rules=len(self.classifier.body),
             software_rules=self.software.num_rules,
             tcam_rules=len(self._d_indices),
             num_groups=len(self.grouping.groups),
             group_fields=tuple(g.fields for g in self.grouping.groups),
-            tcam_entries=len(self._tcam),
+            tcam_entries=d_entries,
             tcam_entries_full=full_entries,
             build_seconds=self.build_seconds,
             build_stages=self.build_stages,

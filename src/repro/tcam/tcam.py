@@ -10,7 +10,7 @@ so experiments can report space and (simulated) power proxies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.classifier import Classifier
 from ..core.rule import Rule
@@ -121,7 +121,6 @@ def build_tcam(
     rule_indices: Optional[Sequence[int]] = None,
     capacity: Optional[int] = None,
     include_catch_all: bool = False,
-    pattern_cache: Optional[Dict[Rule, Tuple[TernaryEntry, ...]]] = None,
 ) -> Tuple[Tcam, "TcamClassifier"]:
     """Expand (a subset of) a classifier into a programmed TCAM.
 
@@ -129,11 +128,6 @@ def build_tcam(
     performs key construction for headers.  ``fields`` selects the lookup
     fields (Theorem 2 reduced width); ``rule_indices`` selects body rules
     (e.g. only the order-dependent part D).
-
-    ``pattern_cache`` maps a rule to its expanded ternary entries; hits
-    skip range expansion and misses are added, so incremental rebuilds pay
-    expansion only for rules new to D.  Callers must key one cache to one
-    (encoder, fields) combination.
     """
     encoder = encoder or BinaryRangeEncoder()
     field_list = list(fields) if fields is not None else list(range(classifier.num_fields))
@@ -145,25 +139,11 @@ def build_tcam(
         if rule_indices is not None
         else list(range(len(classifier.body)))
     )
-
-    def expanded(rule: Rule) -> Tuple[TernaryEntry, ...]:
-        if pattern_cache is None:
-            return tuple(expand_rule(rule, classifier.schema, encoder, field_list))
-        entries = pattern_cache.get(rule)
-        if entries is None:
-            entries = pattern_cache[rule] = tuple(
-                expand_rule(rule, classifier.schema, encoder, field_list)
-            )
-        return entries
-
+    if include_catch_all:
+        indices.append(len(classifier.rules) - 1)
     for idx in sorted(indices):
         rule = classifier.rules[idx]
-        for entry in expanded(rule):
-            tcam.program(entry, idx, rule)
-    if include_catch_all:
-        idx = len(classifier.rules) - 1
-        rule = classifier.catch_all
-        for entry in expanded(rule):
+        for entry in expand_rule(rule, classifier.schema, encoder, field_list):
             tcam.program(entry, idx, rule)
     return tcam, TcamClassifier(tcam, classifier, encoder, field_list)
 

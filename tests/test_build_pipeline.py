@@ -305,7 +305,7 @@ class TestBuildStages:
         engine = SaxPacEngine(classifier)
         report = engine.report()
         names = [name for name, _ in report.build_stages]
-        assert names == ["disjointness", "grouping", "lookup", "tcam"]
+        assert names == ["disjointness", "grouping", "lookup"]
         assert all(seconds >= 0.0 for _, seconds in report.build_stages)
         assert report.build_seconds == pytest.approx(
             sum(seconds for _, seconds in report.build_stages)
@@ -319,7 +319,7 @@ class TestBuildStages:
         del body[100]
         rebuilt = engine.rebuild(Classifier(classifier.schema, body))
         names = [name for name, _ in rebuilt.build_stages]
-        assert names == ["diff", "grouping", "lookup", "tcam"]
+        assert names == ["diff", "grouping", "lookup"]
         assert rebuilt.build_incremental
 
     def test_reports_with_different_timings_compare_equal(self):
@@ -337,7 +337,7 @@ class TestBuildStages:
             gauges = service.gauges()
             assert gauges["build.seconds"] > 0.0
             assert gauges["build.incremental"] == 0.0
-            for stage in ("disjointness", "grouping", "lookup", "tcam"):
+            for stage in ("disjointness", "grouping", "lookup"):
                 assert f"build.stage.{stage}" in gauges
 
     def test_swap_uses_incremental_rebuild(self):

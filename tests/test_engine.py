@@ -1,5 +1,6 @@
 """Tests for the hybrid SaxPacEngine — the headline deliverable."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,8 +9,23 @@ from repro.core import Classifier, make_rule, uniform_schema
 from repro.lookup.cascading import CascadingTwoFieldIndex
 from repro.saxpac.config import EngineConfig
 from repro.saxpac.engine import SaxPacEngine
-from repro.tcam.encoding import SrgeRangeEncoder
+from repro.tcam.encoding import BinaryRangeEncoder, SrgeRangeEncoder
+from repro.tcam.tcam import build_tcam
+from repro.workloads.generator import generate_classifier
 from conftest import random_classifier
+
+
+def _churned(classifier: Classifier, seed: int) -> Classifier:
+    """``classifier`` with two rules removed and two fresh ones inserted
+    — surviving Rule objects are reused, so a rebuild stays incremental."""
+    rng = random.Random(seed)
+    body = list(classifier.body)
+    for index in sorted(rng.sample(range(len(body)), 2), reverse=True):
+        del body[index]
+    donor = generate_classifier("fw", 64, seed + 1)
+    for rule in donor.body[:2]:
+        body.insert(rng.randint(0, len(body)), rule)
+    return Classifier(classifier.schema, body)
 
 
 class TestSemanticEquivalence:
@@ -156,6 +172,72 @@ class TestReport:
             k, EngineConfig(max_groups=1, min_group_size=10**6)
         ).report()
         assert default.tcam_entries <= constrained.tcam_entries
+
+
+class TestTcamEntryAccounting:
+    """``report().tcam_entries`` is counted per rule, not programmed, and
+    must equal the rows a programmed TCAM of D would hold."""
+
+    @pytest.mark.parametrize(
+        "encoder", [BinaryRangeEncoder(), SrgeRangeEncoder()],
+        ids=lambda e: e.name,
+    )
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_matches_programmed_tcam(self, encoder, incremental):
+        classifier = generate_classifier("fw", 500, 3)
+        engine = SaxPacEngine(classifier, encoder=encoder)
+        if incremental:
+            engine = engine.rebuild(_churned(classifier, 5))
+            assert engine.build_incremental
+        report = engine.report()
+        assert report.tcam_rules > 0
+        k = engine.classifier
+        tcam, _view = build_tcam(
+            k, encoder, rule_indices=engine.grouping.ungrouped
+        )
+        assert report == dataclasses.replace(report, tcam_entries=len(tcam))
+
+
+class TestNoTcamOnServingPath:
+    """Build, rebuild, lookup and reporting never program a TCAM."""
+
+    @pytest.fixture
+    def no_tcam(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Tcam was constructed")
+
+        monkeypatch.setattr("repro.tcam.tcam.Tcam.__init__", refuse)
+
+    def test_engine_lifecycle(self, no_tcam):
+        classifier = generate_classifier("acl", 400, 4)
+        engine = SaxPacEngine(classifier)
+        headers = classifier.sample_headers(100, random.Random(6))
+        incremental = engine.rebuild(_churned(classifier, 7))
+        assert incremental.build_incremental
+        full = engine.rebuild(generate_classifier("acl", 300, 8))
+        assert not full.build_incremental
+        for built in (engine, incremental, full):
+            k = built.classifier
+            want = [m.index for m in k.match_batch(headers)]
+            assert built.match_batch_indices(headers).tolist() == want
+            assert [built.match(h).index for h in headers[:20]] == want[:20]
+            assert built.report().is_sane()
+
+    def test_runtime_service_with_updates(self, no_tcam):
+        from repro.runtime.service import RuntimeService
+
+        classifier = generate_classifier("acl", 200, 9)
+        donor = generate_classifier("acl", 8, 10)
+        with RuntimeService(classifier) as service:
+            inserted = service.insert(donor.body[0])
+            assert inserted.accepted
+            service.remove(inserted.rule_id)
+            headers = classifier.sample_headers(50, random.Random(11))
+            k = service.serving_classifier()
+            assert service.match_indices(headers).tolist() == [
+                m.index for m in k.match_batch(headers)
+            ]
+            assert service.engine_report() is not None
 
 
 class TestConfigValidation:

@@ -187,8 +187,8 @@ class TestIntervalGroupIndex:
             (v, w) for v in range(0, 4 * n + 4) for w in (0, v // 4, 200)
         ]
         harr = headers_array(headers, k.schema)
-        got = index.probe_batch(headers, harr)
-        want = linear.probe_batch(headers, harr)
+        got = index.probe_batch(harr)
+        want = linear.probe_batch(harr)
         assert np.array_equal(got, want)
         assert (got >= 0).any() and (got < 0).any()
         for header in headers[:: max(1, len(headers) // 64)]:
@@ -206,10 +206,10 @@ class TestIntervalGroupIndex:
         for count in (1, 2 * index.VECTOR_MIN_BATCH):
             headers = [header] * count
             harr = headers_array(headers, k.schema)
-            assert (index.probe_batch(headers, harr) == -1).all()
+            assert (index.probe_batch(harr) == -1).all()
             engine = SaxPacEngine(k, EngineConfig(lookup_backend="interval"))
             assert engine.report().group_backends == ("interval",)
-            engine.software.lookup_batch(headers, harr)
+            engine.software.lookup_batch(harr)
             assert engine.software.stats.candidates == 0
 
     def test_tombstones_mask_hits(self):
@@ -227,11 +227,38 @@ class TestIntervalGroupIndex:
         headers = [(4 * i + 1, i) for i in range(n)]
         harr = headers_array(headers, k.schema)
         want = np.arange(n)
-        assert np.array_equal(index.probe_batch(headers, harr), want)
+        assert np.array_equal(index.probe_batch(harr), want)
         want[dead] = -1
-        assert np.array_equal(view.probe_batch(headers, harr), want)
+        assert np.array_equal(view.probe_batch(harr), want)
         one = harr[dead:dead + 1]
-        assert view.probe_batch([header], one)[0] == -1
+        assert view.probe_batch(one)[0] == -1
+
+
+class TestLinearGroupIndex:
+    def test_bounds_straddling_2_63_compare_exactly(self):
+        """Bounds of a 64-bit field above 2**63 must not round through
+        float64: a header one below a low bound, or one above a high
+        bound near 2**64, misses on both the batch and the scalar path."""
+        top = (1 << 64) - 1
+        half = 1 << 63
+        k = Classifier(
+            uniform_schema(2, 64),
+            [
+                make_rule([(half + 1, top - 1), (0, top)]),
+                make_rule([(0, half - 1), (0, top)]),
+            ],
+        )
+        index = LinearGroupIndex(k, Group((0, 1), (0,)))
+        headers = [
+            (half, 0), (top, 0), (half + 1, 0), (top - 1, 0),
+            (half - 1, 0), (0, 0),
+        ]
+        want = [-1, -1, 0, 0, 1, 1]
+        got = index.probe_batch(headers_array(headers, k.schema))
+        assert got.tolist() == want
+        assert [index.probe(h) for h in headers] == [
+            None if w < 0 else w for w in want
+        ]
 
 
 class TestEngineEquivalence:
