@@ -23,6 +23,8 @@ from .mgr import (
     beta_l_mrc,
     enforce_cache_property,
     group_statistics,
+    independent_split,
+    iset_partition,
     l_mgr,
     l_mgr_reference,
 )
@@ -90,6 +92,8 @@ __all__ = [
     "conflict_pairs",
     "downward_redundant_rules",
     "edf_single_field",
+    "independent_split",
+    "iset_partition",
     "exact_max_coverage",
     "exact_min_groups",
     "remove_redundant",

@@ -45,6 +45,7 @@ from .columnar import (
     pack_disjoint_masks,
     subset_fail_table,
 )
+from .mrc import edf_single_field, greedy_independent_set
 
 __all__ = [
     "Group",
@@ -54,6 +55,8 @@ __all__ = [
     "beta_l_mrc",
     "enforce_cache_property",
     "group_statistics",
+    "independent_split",
+    "iset_partition",
     "GroupStatistics",
 ]
 
@@ -80,7 +83,8 @@ class Group:
 @dataclass(frozen=True)
 class MGRResult:
     """A multi-group assignment.  ``ungrouped`` is the spill-over to the
-    order-dependent part D (non-empty only when β capped the group count)."""
+    order-dependent part D (for :func:`l_mgr`, non-empty only when β
+    capped the group count)."""
 
     groups: Tuple[Group, ...]
     ungrouped: Tuple[int, ...]
@@ -530,6 +534,72 @@ def enforce_cache_property(
             new_groups.append(Group(kept, g.fields))
     new_ungrouped = tuple(sorted(set(result.ungrouped) | demoted))
     return MGRResult(tuple(new_groups), new_ungrouped, result.l)
+
+
+def independent_split(
+    classifier: Classifier, l: int = 2, beta: Optional[int] = None
+) -> MGRResult:
+    """The paper's I/D split (Sections 4 and 6.2.2): the greedy maximal
+    order-independent subset I on all fields, grouped by
+    :func:`l_mgr` into at most ``beta`` groups of at most ``l`` fields;
+    every other body rule — outside I or spilled by β — is ``ungrouped``
+    (the order-dependent part D), sorted."""
+    independent = greedy_independent_set(classifier)
+    grouping = l_mgr(
+        classifier,
+        l=min(l, classifier.num_fields),
+        beta=beta,
+        rule_subset=independent.rule_indices,
+    )
+    spill = set(grouping.ungrouped)
+    spill.update(independent.complement(len(classifier.body)))
+    return MGRResult(grouping.groups, tuple(sorted(spill)), grouping.l)
+
+
+def iset_partition(
+    classifier: Classifier,
+    rule_subset: Optional[Sequence[int]] = None,
+    beta: Optional[int] = None,
+    min_size: int = 1,
+) -> MGRResult:
+    """Greedy partition into one-field iSets (NuevoMatch, arXiv
+    2002.07584): groups whose members are pairwise disjoint on a single
+    key field.
+
+    Each round runs the exact EDF interval scheduling of
+    :func:`~repro.analysis.mrc.edf_single_field` on every field over the
+    rules not yet placed, keeps the largest set (the lowest field on
+    ties) as a group keyed on that field, and removes its rules.  The
+    scan stops after ``beta`` groups (None = unlimited, 0 = none) or at
+    the first set smaller than ``min_size``; every rule left over is
+    ``ungrouped``, sorted.
+
+    Unlike an MGR, the groups are not order-independent among each
+    other: a lookup that merges groups and the ungrouped rules by lowest
+    index stays exact, since a packet's first match is the only member
+    of its group containing the packet's key value (Theorem 2).
+    """
+    if rule_subset is None:
+        remaining = np.arange(len(classifier.body), dtype=np.int64)
+    else:
+        remaining = np.unique(np.asarray(rule_subset, dtype=np.int64))
+    groups: List[Group] = []
+    fields = range(classifier.num_fields)
+    while remaining.size and fields and (beta is None or len(groups) < beta):
+        best = max(
+            (
+                edf_single_field(classifier, f, remaining)
+                for f in fields
+            ),
+            key=lambda result: result.size,
+        )
+        if best.size < min_size:
+            break
+        groups.append(Group(best.rule_indices, best.fields))
+        remaining = remaining[
+            ~np.isin(remaining, np.asarray(best.rule_indices, dtype=np.int64))
+        ]
+    return MGRResult(tuple(groups), tuple(remaining.tolist()), 1)
 
 
 @dataclass(frozen=True)

@@ -189,23 +189,35 @@ def greedy_independent_set(
     return MRCResult(tuple(sorted(accepted)), tuple(chosen_fields))
 
 
-def edf_single_field(classifier: Classifier, field: int) -> MRCResult:
+def edf_single_field(
+    classifier: Classifier,
+    field: int,
+    rule_subset: Optional[Sequence[int]] = None,
+) -> MRCResult:
     """Exact 1-MRC: maximum set of rules with pairwise-disjoint intervals in
     one field, by earliest-deadline-first interval scheduling.
 
-    Optimal for cardinality (unlike the greedy priority scan).  Note the
-    selected set maximizes *size*, not priority coverage.
+    ``rule_subset`` restricts the candidates to those body-rule indices
+    (default: all body rules).  Optimal for cardinality (unlike the greedy
+    priority scan).  Note the selected set maximizes *size*, not priority
+    coverage.
     """
     lows, highs = classifier.bounds_arrays()
-    order = np.argsort(highs[:, field], kind="stable")
+    if rule_subset is None:
+        members = np.arange(lows.shape[0], dtype=np.int64)
+    else:
+        members = np.asarray(rule_subset, dtype=np.int64)
+    lo = lows[members, field]
+    hi = highs[members, field]
+    order = np.argsort(hi, kind="stable")
     chosen: List[int] = []
     frontier = -1
-    for idx in order:
-        lo = int(lows[idx, field])
-        hi = int(highs[idx, field])
-        if lo > frontier:
-            chosen.append(int(idx))
-            frontier = hi
+    for idx, low, high in zip(
+        members[order].tolist(), lo[order].tolist(), hi[order].tolist()
+    ):
+        if low > frontier:
+            chosen.append(idx)
+            frontier = high
     return MRCResult(tuple(sorted(chosen)), (field,))
 
 

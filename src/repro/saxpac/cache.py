@@ -17,8 +17,12 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from ..analysis.mgr import Group, MGRResult, enforce_cache_property, l_mgr
-from ..analysis.mrc import greedy_independent_set
+from ..analysis.mgr import (
+    Group,
+    MGRResult,
+    enforce_cache_property,
+    independent_split,
+)
 from ..core.classifier import Classifier, MatchResult
 from ..lookup.group_engine import MultiGroupEngine
 from ..runtime.telemetry import NULL_RECORDER
@@ -70,17 +74,8 @@ class ClassificationCache:
         self.capacity = capacity
         self.heat = dict(heat) if heat else None
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        independent = greedy_independent_set(classifier)
-        grouping = l_mgr(
-            classifier,
-            l=min(max_group_fields, classifier.num_fields),
-            beta=max_groups,
-            rule_subset=independent.rule_indices,
-        )
         # Everything outside the groups is D for MRCC purposes.
-        spill = set(grouping.ungrouped)
-        spill.update(independent.complement(len(classifier.body)))
-        grouping = MGRResult(grouping.groups, tuple(sorted(spill)), grouping.l)
+        grouping = independent_split(classifier, max_group_fields, max_groups)
         grouping = enforce_cache_property(classifier, grouping)
         if capacity is not None:
             grouping = self._trim_to_capacity(grouping, capacity, self.heat)

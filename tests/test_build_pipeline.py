@@ -305,7 +305,7 @@ class TestBuildStages:
         engine = SaxPacEngine(classifier)
         report = engine.report()
         names = [name for name, _ in report.build_stages]
-        assert names == ["disjointness", "grouping", "lookup"]
+        assert names == ["grouping", "lookup"]
         assert all(seconds >= 0.0 for _, seconds in report.build_stages)
         assert report.build_seconds == pytest.approx(
             sum(seconds for _, seconds in report.build_stages)
@@ -337,7 +337,7 @@ class TestBuildStages:
             gauges = service.gauges()
             assert gauges["build.seconds"] > 0.0
             assert gauges["build.incremental"] == 0.0
-            for stage in ("disjointness", "grouping", "lookup"):
+            for stage in ("grouping", "lookup"):
                 assert f"build.stage.{stage}" in gauges
 
     def test_swap_uses_incremental_rebuild(self):

@@ -29,7 +29,7 @@ from repro.lookup.backends import (
     structural_backend_name,
 )
 from repro.lookup.backends.selector import LINEAR_CUTOVER
-from repro.lookup.group_engine import LinearGroupIndex
+from repro.lookup.group_engine import LinearGroupIndex, MultiGroupEngine
 from repro.runtime.batch import linear_match_batch
 from repro.saxpac.config import EngineConfig
 from repro.saxpac.engine import SaxPacEngine
@@ -207,10 +207,10 @@ class TestIntervalGroupIndex:
             headers = [header] * count
             harr = headers_array(headers, k.schema)
             assert (index.probe_batch(harr) == -1).all()
-            engine = SaxPacEngine(k, EngineConfig(lookup_backend="interval"))
-            assert engine.report().group_backends == ("interval",)
-            engine.software.lookup_batch(harr)
-            assert engine.software.stats.candidates == 0
+            software = MultiGroupEngine(k, [group], backend="interval")
+            assert [g.backend for g in software.groups] == ["interval"]
+            software.lookup_batch(harr)
+            assert software.stats.candidates == 0
 
     def test_tombstones_mask_hits(self):
         n = 80
@@ -333,12 +333,18 @@ class TestRebuildRepick:
         assert got == want
 
     def test_forced_backend_survives_rebuild(self):
+        """A forced backend stays the recorded request across a rebuild.
+        The engine's groups are keyed on one field, which the two-field
+        segment tree cannot serve, so ``segment`` falls back to the
+        structural ``interval`` index."""
         n = 48
         k = _disjoint_classifier(n)
         engine = SaxPacEngine(
             k, EngineConfig(lookup_backend="segment")
         )
-        assert engine.software.groups[0].backend == "segment"
+        group = engine.software.groups[0]
+        assert group.backend_requested == "segment"
+        assert group.backend == "interval" and group.backend_fallback
         added = make_rule([(4 * n, 4 * n + 2), (0, 9)])
         grown = Classifier(k.schema, list(k.body) + [added])
         rebuilt = engine.rebuild(grown)
