@@ -91,6 +91,19 @@ class GroupIndex:
             )
         return clone
 
+    def extended(
+        self, classifier: Classifier, added: Sequence[int]
+    ) -> "GroupIndex":
+        """A new index serving the live members plus ``added`` (rule
+        indices of ``classifier``, the classifier ``rule_ids`` already
+        refers to).  For a one-field group, ``added`` must be pairwise
+        disjoint on that field from the live members and from each
+        other.  This default rebuilds the structure over the live
+        members with the same requested backend; ``self`` is untouched."""
+        live = self.rule_ids[self.rule_ids >= 0]
+        group = Group(tuple(live.tolist()) + tuple(added), self.fields)
+        return build_group_index(classifier, group, self.backend_requested)
+
     def __len__(self) -> int:
         """Live (non-tombstoned) rules in the group."""
         return int((self.rule_ids >= 0).sum())
@@ -175,6 +188,51 @@ class _IntervalGroupIndex(GroupIndex):
             if not low <= header[f] <= high:
                 return None
         return self._translate(int(self._slots[row]))
+
+    def extended(
+        self, classifier: Classifier, added: Sequence[int]
+    ) -> GroupIndex:
+        """Copy-on-write row insert: each added rule gets a new slot
+        past the existing ones and a row at its search position in the
+        key-sorted columns.  Tombstoned rows are dropped first, since an
+        added rule may overlap a removed member's key range and the
+        search must not land on the dead row.  The arrays and lists of
+        ``self`` are copied, not changed, so a serving engine holding
+        ``self`` is unaffected."""
+        live = self.rule_ids[self._slots] >= 0
+        live[0] = True  # the sentinel row
+        key_lo = self._key_lo[live]
+        lows, highs = classifier.bounds_arrays()
+        new = np.asarray(added, dtype=np.int64)
+        new = new[np.argsort(lows[new, self._key], kind="stable")]
+        at = np.searchsorted(key_lo, lows[new, self._key], side="right")
+        clone = copy.copy(self)
+        start = self.rule_ids.size
+        clone.rule_ids = np.concatenate((self.rule_ids, new))
+        clone._columns = [
+            (
+                f,
+                np.insert(lo[live], at, lows[new, f]),
+                np.insert(hi[live], at, highs[new, f]),
+            )
+            for f, lo, hi in self._columns
+        ]
+        clone._key_lo = clone._columns[self.fields.index(self._key)][1]
+        clone._slots = np.insert(
+            self._slots[live], at, np.arange(start, start + new.size)
+        )
+        clone._key_lo_list = clone._key_lo.tolist()
+        fields = list(self.fields)
+        rows = list(zip(
+            map(tuple, lows[new][:, fields].tolist()),
+            map(tuple, highs[new][:, fields].tolist()),
+        ))
+        clone._rows = [row for row, keep in zip(self._rows, live) if keep]
+        # Last first, so earlier positions stay valid and rules sharing
+        # one position keep their key order.
+        for position, row in zip(at.tolist()[::-1], rows[::-1]):
+            clone._rows.insert(position, row)
+        return clone
 
     def memory_items(self) -> int:
         bounds = sum(lo.size + hi.size for _, lo, hi in self._columns)

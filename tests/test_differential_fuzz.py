@@ -9,7 +9,10 @@ projection and TCAM expansion live.
 
 Three axes of coverage:
 
-* random small classifiers with arbitrary overlap (hypothesis-built);
+* random small classifiers with arbitrary overlap (hypothesis-built),
+  served by the default engine and by engines whose size floor of 1 lets
+  every iSet become a group, with and without the MRCC cache property —
+  the group/D merge on adversarial overlap;
 * ClassBench-style acl/fw/ipc classifiers from the workload generator;
 * engines that have been through :meth:`SaxPacEngine.rebuild` (the
   incremental path the hot-swap runtime exercises);
@@ -24,12 +27,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import uniform_schema
 from repro.core.classifier import Classifier
 from repro.runtime.shard import ShardedRuntime
 from repro.saxpac.config import EngineConfig
 from repro.saxpac.engine import SaxPacEngine
 from repro.workloads.generator import generate_classifier
-from strategies import classifiers, corner_headers_for
+from strategies import classifiers, corner_headers_for, rules
 
 _SETTINGS = settings(
     max_examples=25,
@@ -53,17 +57,37 @@ def _assert_agrees(engine, reference: Classifier, headers) -> None:
     assert got_batch == want
 
 
+#: Size floor 1: small random classifiers form groups too, so the merge
+#: of groups and D by lowest index meets arbitrary overlap.
+GROUPED = (
+    EngineConfig(min_group_size=1),
+    EngineConfig(min_group_size=1, enforce_cache=True),
+)
+
+
+def _random_classifier_agrees(data, config: EngineConfig) -> None:
+    k = data.draw(classifiers(max_rules=16))
+    engine = SaxPacEngine(k, config)
+    if config.min_group_size == 1 and k.body:
+        assert engine.grouping.groups
+    headers = [
+        data.draw(corner_headers_for(k))
+        for _ in range(_HEADERS_PER_EXAMPLE)
+    ]
+    _assert_agrees(engine, k, headers)
+
+
 class TestRandomClassifiers:
     @given(st.data())
     @_SETTINGS
     def test_corner_points_agree(self, data):
-        k = data.draw(classifiers(max_rules=16))
-        engine = SaxPacEngine(k)
-        headers = [
-            data.draw(corner_headers_for(k))
-            for _ in range(_HEADERS_PER_EXAMPLE)
-        ]
-        _assert_agrees(engine, k, headers)
+        _random_classifier_agrees(data, EngineConfig())
+
+    @pytest.mark.parametrize("config", GROUPED, ids=("floor1", "cache"))
+    @given(data=st.data())
+    @_SETTINGS
+    def test_corner_points_agree_grouped(self, config, data):
+        _random_classifier_agrees(data, config)
 
 
 # Built once per module: the generator and the engine build dominate the
@@ -166,6 +190,19 @@ class TestShmShards:
         assert list(runtime.match_indices(headers)) == want
 
 
+def _rebuilt_random_classifier_agrees(data, config: EngineConfig) -> None:
+    before = data.draw(classifiers(max_rules=12))
+    after = data.draw(classifiers(max_rules=12))
+    # Rebuild across schemas is undefined; pin both to one schema.
+    after = Classifier(before.schema, after.body)
+    engine = SaxPacEngine(before, config).rebuild(after)
+    headers = [
+        data.draw(corner_headers_for(after))
+        for _ in range(_HEADERS_PER_EXAMPLE)
+    ]
+    _assert_agrees(engine, after, headers)
+
+
 class TestPostRebuild:
     @given(st.data())
     @_SETTINGS
@@ -180,11 +217,30 @@ class TestPostRebuild:
     @given(st.data())
     @_SETTINGS
     def test_rebuild_of_random_classifier(self, data):
-        before = data.draw(classifiers(max_rules=12))
-        after = data.draw(classifiers(max_rules=12))
-        # Rebuild across schemas is undefined; pin both to one schema.
-        after = Classifier(before.schema, after.body)
-        engine = SaxPacEngine(before).rebuild(after)
+        _rebuilt_random_classifier_agrees(data, EngineConfig())
+
+    @given(st.data())
+    @_SETTINGS
+    def test_rebuild_of_random_classifier_grouped(self, data):
+        _rebuilt_random_classifier_agrees(data, GROUPED[0])
+
+    @given(data=st.data())
+    @_SETTINGS
+    def test_incremental_rebuild_of_random_classifier(self, data):
+        """A size-floor-1 engine through the incremental path: one
+        carried rule removed (a tombstone when it sat in a group), up to
+        two fresh rules placed into carried groups' key-field gaps, new
+        groups or D."""
+        schema = uniform_schema(3, 5)
+        body = data.draw(st.lists(rules(3, 5), min_size=16, max_size=20))
+        before = Classifier(schema, body)
+        body = list(body)
+        del body[data.draw(st.integers(0, len(body) - 1))]
+        for rule in data.draw(st.lists(rules(3, 5), min_size=1, max_size=2)):
+            body.insert(data.draw(st.integers(0, len(body))), rule)
+        after = Classifier(schema, body)
+        engine = SaxPacEngine(before, GROUPED[0]).rebuild(after)
+        assert engine.build_incremental
         headers = [
             data.draw(corner_headers_for(after))
             for _ in range(_HEADERS_PER_EXAMPLE)
