@@ -15,7 +15,8 @@ from repro.analysis.mgr import l_mgr
 from repro.analysis.mrc import greedy_independent_set
 from repro.bench.harness import bench_rules, cached_suite, format_table
 from repro.core import Interval, classbench_schema
-from repro.lookup.group_engine import LinearGroupIndex, build_group_index
+from repro.lookup.backends import build_group_index
+from repro.lookup.group_engine import LinearGroupIndex
 from repro.saxpac.updates import DynamicSaxPac
 from repro.tcam.encoding import binary_expand, srge_expand
 from repro.workloads.traces import generate_trace

@@ -19,7 +19,9 @@ classifier and reports:
 * an **incremental rebuild** of a ~1% rule change (half removals, half
   insertions) via :meth:`SaxPacEngine.rebuild`, path-equivalence-checked
   against a fresh build on sampled packets, with the rebuild-vs-full
-  speedup (the headline number: >= 10x on the default config).
+  speedup.  The speedup is reported, not gated: each side is timed
+  once, and a fresh build of one-field iSets is itself fast, so on the
+  default config it reads 1.6x in ``BENCH_build.json``.
 
 ``--baseline BENCH_build.json`` gates regressions for CI: engine
 structure (groups / software rules / TCAM entries) must be identical and

@@ -5,8 +5,8 @@ the *relative* shape on our substrate: the SAX-PAC software engine (few
 group probes, each O(log N)) should scale far better than the naive linear
 scan, and the hybrid engine should stay close to the pure software path
 because the order-dependent part D holds only a few percent of the rules
-(D is matched by a containment scan over its bounds, so a small D
-matters).
+(D is matched through per-field bit vectors, one binary search per field
+and a few word ANDs per packet).
 
 Besides the pytest-benchmark micro-benchmarks, this module doubles as a
 standalone **per-backend ablation** (the same pattern as
@@ -19,12 +19,17 @@ the paper's l-MGR grouping of the order-independent part once per lookup
 backend (``linear``, ``interval``, ``segment``, ``auto``), replays the
 same trace through ``MultiGroupEngine.lookup_batch``, asserts all
 backends return byte-identical decisions, and writes
-``BENCH_lookup.json``: per-cell packets/sec (best of ``--repeats``), the
-worst-over-best spread of those repeats, backend mix, memory items and
-build cost.  ``--baseline BENCH_lookup.json`` gates CI
-on the *ratio* of each backend's throughput to the same-run linear
-backend (runner speed cancels out of the ratio, like the
-``BENCH_build.json`` normalized-cost gate).
+``BENCH_lookup.json``: per-cell packets/sec (from the median of
+``--repeats`` timed replays), the worst-over-best spread of those
+repeats, backend mix, memory items and build cost.  Each repeat times
+every backend once, in turns, so a slow stretch of the host falls on all
+backends of a repeat alike rather than on one backend's whole series.
+``--baseline BENCH_lookup.json`` gates CI on the *ratio* of each
+backend's throughput to the same-run linear backend, like the
+``BENCH_build.json`` normalized-cost gate.  Runner speed cancels out of
+the ratio only where host load slows every backend alike: the
+Python-bound structures feel a busy CPU more than numpy-bound
+``linear`` does.
 """
 
 import argparse
@@ -188,7 +193,8 @@ def _ablate_cell(
     style: str, rules: int, seed: int, trace_len: int, repeats: int
 ) -> Dict[str, object]:
     """One (style, rules) cell: every backend over the same trace, with
-    a byte-identical decision check against the linear backend."""
+    a byte-identical decision check against the linear backend, then
+    ``repeats`` rounds that time each backend once, in turns."""
     classifier = generate_classifier(style, rules, seed)
     trace = generate_trace(classifier, trace_len, seed=seed + 1)
     harr = headers_array(trace, classifier.schema)
@@ -201,6 +207,7 @@ def _ablate_cell(
     # (which every backend but linear would serve by the same interval
     # index), so each forced backend runs its own structure.
     groups = independent_split(classifier).groups
+    engines = {}
     reference: Optional[np.ndarray] = None
     for backend in ABLATION_BACKENDS:
         software = MultiGroupEngine(classifier, groups, backend=backend)
@@ -214,20 +221,24 @@ def _ablate_cell(
                 f"linear on header {trace[bad]}: "
                 f"{int(out[bad])} != {int(reference[bad])}"
             )
-        times = []
-        for _ in range(repeats):
+        engines[backend] = software
+    times: Dict[str, List[float]] = {name: [] for name in engines}
+    for _ in range(repeats):
+        for backend, software in engines.items():
             start = time.perf_counter()
             software.lookup_batch(harr)
-            times.append(time.perf_counter() - start)
-        best = min(times)
+            times[backend].append(time.perf_counter() - start)
+    for backend, software in engines.items():
+        runs = sorted(times[backend])
+        median = runs[len(runs) // 2]
         mix: Dict[str, int] = {}
         for group in software.groups:
             mix[group.backend] = mix.get(group.backend, 0) + 1
         cell["backends"][backend] = {
-            "seconds": round(best, 5),
-            "packets_per_second": round(trace_len / best) if best else 0,
+            "seconds": round(median, 5),
+            "packets_per_second": round(trace_len / median) if median else 0,
             # Worst repeat over best: how far one cell's repeats disagree.
-            "spread": round(max(times) / best, 3) if best else 0.0,
+            "spread": round(runs[-1] / runs[0], 3) if runs[0] else 0.0,
             "group_mix": mix,
             "memory_items": sum(
                 g.memory_items() for g in software.groups
@@ -305,9 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classifier sizes (group-size sweep)")
     parser.add_argument("--trace", type=int, default=20000,
                         help="packets replayed per cell")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed repeats per backend (best-of; the "
-                             "worst-over-best spread is reported too)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timed rounds, each timing every backend "
+                             "once (the median is reported, and the "
+                             "worst-over-best spread)")
     parser.add_argument("--seed", type=int, default=2014)
     parser.add_argument("--quick", action="store_true",
                         help="small smoke configuration for CI")
@@ -325,7 +337,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.quick:
         args.sizes = [min(s, 2000) for s in args.sizes][:1]
         args.trace = min(args.trace, 4000)
-        args.repeats = min(args.repeats, 2)
     cells = [
         _ablate_cell(style, rules, args.seed, args.trace, args.repeats)
         for style in args.styles

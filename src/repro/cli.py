@@ -49,7 +49,6 @@ from typing import List, Optional, Tuple
 
 from .analysis import group_statistics
 from .core.classifier import Classifier
-from .lookup.backends import backend_names
 from .runtime.shard import SHARD_MODES
 from .saxpac.config import ClassifierProfile, profile_classifier
 from .saxpac.engine import EngineConfig, SaxPacEngine
@@ -72,20 +71,6 @@ def _save(classifier: Classifier, path: str, profile=None) -> None:
         save_classifier(classifier, path, profile)
     else:
         write_classbench(classifier, path)
-
-
-def _add_lookup_backend_flag(verb) -> None:
-    """The shared per-group lookup-backend knob for engine-building
-    verbs.  ``auto`` is the shape rule; the named backends force one
-    structure on every group (falling back per group when a backend
-    cannot serve it — decisions are identical either way)."""
-    verb.add_argument(
-        "--lookup-backend",
-        choices=backend_names(include_auto=True),
-        default="auto",
-        help="per-group lookup structure (default: auto-select from "
-             "group size and disjoint fields)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--trace", type=int, default=10000)
     cls.add_argument("--seed", type=int, default=1)
     cls.add_argument("--max-groups", type=int, default=None)
-    _add_lookup_backend_flag(cls)
     cls.add_argument("--cache", action="store_true",
                      help="enforce the MRCC cache property")
 
@@ -143,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shard-mode", choices=SHARD_MODES,
                      default="thread")
     run.add_argument("--max-groups", type=int, default=None)
-    _add_lookup_backend_flag(run)
     run.add_argument("--cache", action="store_true",
                      help="enforce the MRCC cache property")
     run.add_argument("--updates", type=int, default=0,
@@ -201,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--shard-mode", choices=SHARD_MODES,
                      default="thread")
     srv.add_argument("--max-groups", type=int, default=None)
-    _add_lookup_backend_flag(srv)
     srv.add_argument("--cache", action="store_true",
                      help="enforce the MRCC cache property")
     srv.add_argument("--max-batch", type=int, default=8192,
@@ -348,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--shard-mode", choices=SHARD_MODES,
                      default="thread")
     top.add_argument("--max-groups", type=int, default=None)
-    _add_lookup_backend_flag(top)
     top.add_argument("--cache", action="store_true",
                      help="enforce the MRCC cache property")
     top.add_argument("--top", type=int, default=10, dest="k",
@@ -470,7 +451,6 @@ def _cmd_classify(args) -> int:
     classifier, _ = _load(args.path)
     config = EngineConfig(
         max_groups=args.max_groups, enforce_cache=args.cache,
-        lookup_backend=args.lookup_backend,
     )
     engine = SaxPacEngine(classifier, config)
     report = engine.report()
@@ -545,7 +525,6 @@ def _cmd_runtime(args) -> int:
         deadline_ms=args.deadline_ms,
         engine=EngineConfig(
             max_groups=args.max_groups, enforce_cache=args.cache,
-            lookup_backend=args.lookup_backend,
         ),
     )
     injector = _build_injector(args, quiet=args.json)
@@ -699,7 +678,6 @@ def _cmd_serve(args) -> int:
         shed_watermark=args.shed_watermark,
         engine=EngineConfig(
             max_groups=args.max_groups, enforce_cache=args.cache,
-            lookup_backend=args.lookup_backend,
         ),
     )
     net_config = NetConfig(
@@ -1154,19 +1132,6 @@ def _cmd_top_watch(args) -> int:
     return 0
 
 
-def _backend_heat_map(service):
-    """Heat key -> serving lookup-backend name, for the ``repro top``
-    group annotations (None while the linear fallback serves)."""
-    summary = service.backend_summary()
-    if not summary:
-        return None
-    return {
-        f"g{i}[{','.join(str(f) for f in entry['fields'])}]":
-        entry["backend"]
-        for i, entry in enumerate(summary)
-    }
-
-
 def _cmd_top(args) -> int:
     import json as _json
     import time
@@ -1189,7 +1154,6 @@ def _cmd_top(args) -> int:
         shard_mode=args.shard_mode,
         engine=EngineConfig(
             max_groups=args.max_groups, enforce_cache=args.cache,
-            lookup_backend=args.lookup_backend,
         ),
     )
     obs = Observability.create(
@@ -1208,7 +1172,6 @@ def _cmd_top(args) -> int:
                     latencies=snapshot.latencies,
                     k=args.k,
                     rules=classifier.rules,
-                    backends=_backend_heat_map(service),
                 )
                 # \x1b[H\x1b[J = cursor home + clear: cheap live refresh.
                 sys.stdout.write("\x1b[H\x1b[J" + frame + "\n")
@@ -1219,9 +1182,6 @@ def _cmd_top(args) -> int:
         if args.heat_out:
             obs.heat.to_json(args.heat_out)
         if args.json:
-            backends = service.backend_summary()
-            if backends is not None:
-                report = dict(report, lookup_backends=backends)
             print(_json.dumps(report, indent=2))
         else:
             if live:
@@ -1232,7 +1192,6 @@ def _cmd_top(args) -> int:
                 latencies=snapshot.latencies,
                 k=args.k,
                 rules=classifier.rules,
-                backends=_backend_heat_map(service),
             ))
             print(f"\nreplayed {len(trace)} packets in {elapsed:.2f}s "
                   f"({rate:,.0f} pkt/s), heat sample period "

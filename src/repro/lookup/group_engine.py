@@ -7,13 +7,14 @@ candidate is checked on all remaining fields to rule out a false positive
 (Theorem 2).  The highest-priority surviving candidate wins; the catch-all
 backstops everything.
 
-Group probes use a lookup backend per group
-(:mod:`repro.lookup.backends`): binary search on a field where the
-members are pairwise disjoint, the segment-tree two-field index, or a
-vectorized linear scan — picked from the group's shape by ``auto``
-(:func:`~repro.lookup.backends.select_backend`) or forced by name.
-Every backend is decision-identical; only the time/memory profile
-differs.
+Each group is served by one :class:`GroupIndex`: binary search on a
+field where the members are pairwise disjoint, the segment-tree
+two-field index, or a vectorized linear scan.  The serving engine
+(:class:`~repro.saxpac.engine.SaxPacEngine`) hands over prebuilt
+interval indexes, one per one-field iSet; given plain groups, the
+engine builds them through :func:`repro.lookup.backends.build_group_index`,
+the paper's lookup-backend ablation.  Every structure is
+decision-identical; only the time/memory profile differs.
 """
 
 from __future__ import annotations
@@ -21,17 +22,16 @@ from __future__ import annotations
 import copy
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.mgr import Group
 from ..core.classifier import Classifier, MatchResult
 from ..runtime.telemetry import NULL_RECORDER
-from .backends import build_with_backend
 from .two_field import TwoFieldIndex
 
-__all__ = ["GroupIndex", "LinearGroupIndex", "MultiGroupEngine", "build_group_index"]
+__all__ = ["GroupIndex", "LinearGroupIndex", "MultiGroupEngine"]
 
 
 class GroupIndex:
@@ -52,15 +52,14 @@ class GroupIndex:
     fields: Tuple[int, ...]
     #: slot -> classifier rule index; -1 marks a tombstoned (removed) slot.
     rule_ids: np.ndarray
-    #: Which registered lookup backend built this index (stamped by
-    #: :func:`repro.lookup.backends.build_with_backend`).
-    backend: str = "custom"
-    #: What the caller asked for (``auto`` or a forced name).
-    backend_requested: str = "custom"
-    #: True when the requested backend could not serve this group and
-    #: the structural default was used instead.
+    #: Which structure this is (``interval``, ``segment`` or ``linear``).
+    backend: str
+    #: True when :func:`~repro.lookup.backends.build_group_index` was
+    #: asked for a structure that cannot serve this group and built the
+    #: group's structural default instead.
     backend_fallback: bool = False
-    #: Wall-clock seconds spent constructing this index.
+    #: Wall-clock seconds spent constructing this index (stamped by
+    #: :func:`~repro.lookup.backends.build_group_index`).
     build_seconds: float = 0.0
 
     def probe(self, header: Sequence[int]) -> Optional[int]:
@@ -91,41 +90,13 @@ class GroupIndex:
             )
         return clone
 
-    def extended(
-        self, classifier: Classifier, added: Sequence[int]
-    ) -> "GroupIndex":
-        """A new index serving the live members plus ``added`` (rule
-        indices of ``classifier``, the classifier ``rule_ids`` already
-        refers to).  For a one-field group, ``added`` must be pairwise
-        disjoint on that field from the live members and from each
-        other.  This default rebuilds the structure over the live
-        members with the same requested backend; ``self`` is untouched."""
-        live = self.rule_ids[self.rule_ids >= 0]
-        group = Group(tuple(live.tolist()) + tuple(added), self.fields)
-        return build_group_index(classifier, group, self.backend_requested)
-
     def __len__(self) -> int:
         """Live (non-tombstoned) rules in the group."""
         return int((self.rule_ids >= 0).sum())
 
-    # -- backend accounting (see repro.lookup.backends) ----------------
     def memory_items(self) -> int:
-        """Stored scalars — the memory half of the backend report."""
+        """Stored scalars: the memory footprint of the index."""
         return int(self.rule_ids.size)
-
-    def backend_report(self) -> Dict[str, object]:
-        """Memory + build-cost summary of this index (the report half of
-        the :class:`~repro.lookup.backends.LookupBackend` protocol)."""
-        return {
-            "backend": self.backend,
-            "requested": self.backend_requested,
-            "fallback": self.backend_fallback,
-            "fields": list(self.fields),
-            "slots": int(self.rule_ids.size),
-            "live": len(self),
-            "memory_items": self.memory_items(),
-            "build_seconds": self.build_seconds,
-        }
 
     def _translate(self, slot: Optional[int]) -> Optional[int]:
         if slot is None:
@@ -342,15 +313,6 @@ class LinearGroupIndex(GroupIndex):
         return np.where(hit & (result >= 0), result, np.int64(-1))
 
 
-def build_group_index(
-    classifier: Classifier, group: Group, backend: str = "auto"
-) -> GroupIndex:
-    """Build a group's lookup structure through the backend registry:
-    ``backend`` is a registered backend name or ``auto``, the shape rule
-    of :func:`~repro.lookup.backends.select_backend`."""
-    return build_with_backend(classifier, group, backend)
-
-
 @dataclass
 class EngineStats:
     """Operational counters for experiments."""
@@ -380,10 +342,13 @@ class MultiGroupEngine:
     ) -> None:
         self.classifier = classifier
         if prebuilt is not None:
-            # Incremental rebuilds hand over already-constructed (possibly
-            # reindexed / tombstoned) group indexes; ``groups`` is ignored.
+            # The serving engine hands over its indexes (fresh, or
+            # reindexed / tombstoned by a rebuild); ``groups`` is ignored.
             self.groups = list(prebuilt)
         else:
+            # Imported here: the backends module imports this one.
+            from .backends import build_group_index
+
             self.groups = [
                 build_group_index(classifier, g, backend) for g in groups
             ]
@@ -401,11 +366,6 @@ class MultiGroupEngine:
     def num_rules(self) -> int:
         """Total rules held across all group indexes."""
         return sum(len(g) for g in self.groups)
-
-    def backend_summary(self) -> List[Dict[str, object]]:
-        """Per-group backend reports (name, fallback, memory, build
-        cost), in group order."""
-        return [g.backend_report() for g in self.groups]
 
     def lookup(self, header: Sequence[int]) -> Optional[int]:
         """Best (lowest) matching body-rule index across all groups, after
@@ -452,7 +412,7 @@ class MultiGroupEngine:
             span = (
                 recorder.span(
                     "engine.group_probe", group=self._group_keys[gi],
-                    batch=n, backend=group.backend,
+                    batch=n,
                 )
                 if instrumented
                 else None
@@ -484,12 +444,6 @@ class MultiGroupEngine:
                     recorder.incr("groups.fp_checks", candidates)
                 if fp_failures:
                     recorder.incr("groups.fp_failures", fp_failures)
-                recorder.incr(f"lookup.backend.{group.backend}.probes", n)
-                if candidates:
-                    recorder.incr(
-                        f"lookup.backend.{group.backend}.candidates",
-                        candidates,
-                    )
                 if heat is not None:
                     heat.record_group(
                         self._group_keys[gi],

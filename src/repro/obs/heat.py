@@ -273,7 +273,6 @@ def render_top(
     latencies: Optional[Mapping[str, object]] = None,
     k: int = 10,
     rules: Optional[Sequence[object]] = None,
-    backends: Optional[Mapping[str, str]] = None,
     counters: Optional[Mapping[str, float]] = None,
     gauges: Optional[Mapping[str, float]] = None,
     elapsed_s: Optional[float] = None,
@@ -283,12 +282,10 @@ def render_top(
     ``latencies`` is the ``latencies`` mapping of a telemetry snapshot
     (stage -> :class:`~repro.runtime.telemetry.HistogramStats`), rendered
     as the "hottest stages" section; ``rules`` (the classifier's rule
-    list) adds a short repr per hot rule when given; ``backends`` maps a
-    group's heat key to its serving lookup-backend name, annotating each
-    group row.  ``counters`` (telemetry counter mapping) adds the wire
-    panel when ``net.*`` counters are present — req/s needs
-    ``elapsed_s`` — and ``gauges`` adds the SLO burn panel when
-    ``slo.*`` gauges are present.
+    list) adds a short repr per hot rule when given.  ``counters``
+    (telemetry counter mapping) adds the wire panel when ``net.*``
+    counters are present — req/s needs ``elapsed_s`` — and ``gauges``
+    adds the SLO burn panel when ``slo.*`` gauges are present.
     """
     lines: List[str] = []
     period = report.get("sample_period", 1)
@@ -321,14 +318,11 @@ def render_top(
             groups.items(), key=lambda kv: -kv[1]["hits"]
         )
         for key, stats in ordered[:k]:
-            line = (
+            lines.append(
                 f"    {key:<28} hits={stats['hits']:<10,} "
                 f"probes={stats['probes']:<10,} "
                 f"fp_rate={stats['fp_rate']:.2%}"
             )
-            if backends and key in backends:
-                line += f" backend={backends[key]}"
-            lines.append(line)
     if latencies:
         lines.append("  hottest stages (by total time):")
         ordered_stages = sorted(

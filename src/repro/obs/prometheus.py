@@ -153,31 +153,8 @@ _COUNTER_HELP = {
     ),
 }
 
-#: Regex-curated HELP for per-backend counter families: the backend name
-#: rides inside the metric name (lookup.backend.<backend>.<event>), so
-#: exact-name curation cannot cover them.
-_COUNTER_PATTERN_HELP = (
-    (
-        re.compile(r"^lookup\.backend\.\w+\.probes$"),
-        "Group probes served by this lookup backend (one per header per "
-        "group using it).",
-    ),
-    (
-        re.compile(r"^lookup\.backend\.\w+\.candidates$"),
-        "Candidate rules this backend's probes produced for full-field "
-        "verification.",
-    ),
-)
-
-
 def _counter_help(counter: str) -> str:
-    help_text = _COUNTER_HELP.get(counter)
-    if help_text is not None:
-        return help_text
-    for pattern, text in _COUNTER_PATTERN_HELP:
-        if pattern.match(counter):
-            return text
-    return f"Pipeline counter {counter}."
+    return _COUNTER_HELP.get(counter, f"Pipeline counter {counter}.")
 
 
 def _gauge_help(gauge: str) -> str:

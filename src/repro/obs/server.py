@@ -88,14 +88,11 @@ class MetricsServer:
     :class:`~repro.runtime.telemetry.TelemetrySnapshot` per request;
     ``health_source`` returns ``(healthy, payload_dict)``;
     ``gauges_source`` returns extra point-in-time gauges for ``/metrics``
-    and ``/snapshot``; ``info_source`` returns arbitrary JSON-serializable
-    structure merged into ``/snapshot`` (non-numeric detail such as the
-    per-group lookup-backend reports); ``stages_source`` returns the
-    stage-waterfall aggregate dict (or None) rendered as exemplar-bearing
-    histograms on ``/metrics``; ``flight_source`` returns the flight
-    recorder's dump (or None) for ``/flightrecorder``.  All are called on
-    the serving thread, so they must be thread-safe (telemetry snapshots
-    are).
+    and ``/snapshot``; ``stages_source`` returns the stage-waterfall
+    aggregate dict (or None) rendered as exemplar-bearing histograms on
+    ``/metrics``; ``flight_source`` returns the flight recorder's dump
+    (or None) for ``/flightrecorder``.  All are called on the serving
+    thread, so they must be thread-safe (telemetry snapshots are).
     """
 
     def __init__(
@@ -105,14 +102,12 @@ class MetricsServer:
         port: int = 0,
         health_source: Optional[Callable[[], tuple]] = None,
         gauges_source: Optional[Callable[[], Mapping[str, float]]] = None,
-        info_source: Optional[Callable[[], Mapping[str, object]]] = None,
         stages_source: Optional[Callable[[], Optional[Mapping]]] = None,
         flight_source: Optional[Callable[[], Optional[Dict]]] = None,
     ) -> None:
         self._snapshot_source = snapshot_source
         self._health_source = health_source
         self._gauges_source = gauges_source
-        self._info_source = info_source
         self._stages_source = stages_source
         self._flight_source = flight_source
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
@@ -163,8 +158,6 @@ class MetricsServer:
         }
         if self._gauges_source is not None:
             payload["gauges"] = dict(self._gauges_source())
-        if self._info_source is not None:
-            payload.update(dict(self._info_source()))
         return payload
 
     # -- lifecycle -----------------------------------------------------

@@ -356,23 +356,6 @@ class RuntimeService:
             return None
         return report
 
-    def backend_summary(self) -> Optional[List[Dict[str, object]]]:
-        """Per-group lookup-backend reports of the serving engine, or
-        None while the linear fallback (which has no groups) serves."""
-        summary_fn = getattr(self.swap.engine, "backend_summary", None)
-        if summary_fn is None:
-            return None
-        return summary_fn()
-
-    def info_payload(self) -> Dict[str, object]:
-        """Non-numeric serving detail merged into ``/snapshot``:
-        currently the per-group lookup-backend reports."""
-        payload: Dict[str, object] = {}
-        backends = self.backend_summary()
-        if backends is not None:
-            payload["lookup_backends"] = backends
-        return payload
-
     # ------------------------------------------------------------------
     # Observability endpoints
     # ------------------------------------------------------------------
@@ -462,7 +445,6 @@ class RuntimeService:
             port=port,
             health_source=self.health_payload,
             gauges_source=self.gauges,
-            info_source=self.info_payload,
             # Late-bound through self.net: a NetServer attached after
             # serve_metrics() still gets its waterfall + flight recorder
             # exposed.

@@ -17,7 +17,7 @@ from ..analysis.fsm import FSMResult, fsm
 from ..analysis.mgr import MGRResult, l_mgr
 from ..analysis.mrc import MRCResult, greedy_independent_set
 from ..core.classifier import Classifier
-from ..lookup.backends.selector import LINEAR_CUTOVER
+from ..lookup.backends import LINEAR_CUTOVER
 
 __all__ = ["EngineConfig", "ClassifierProfile", "profile_classifier"]
 
@@ -41,7 +41,7 @@ class EngineConfig:
         iSet smaller than this and leaves the rest in the TCAM part D —
         the paper's observation that many tiny groups come from general
         rules at the bottom of the list (Example 5).  The default is
-        :data:`~repro.lookup.backends.selector.LINEAR_CUTOVER` (16), the
+        :data:`~repro.lookup.backends.LINEAR_CUTOVER` (16), the
         size below which a vectorized scan beats an index: every group
         adds one probe to every lookup, so many small groups slow the
         1-packet calls more than scanning their rules in D does.
@@ -51,13 +51,6 @@ class EngineConfig:
     enforce_cache:
         Apply (β,l)-MRCC so a group match preempts the D lookup
         (Section 4.3).
-    lookup_backend:
-        Per-group lookup structure: a registered backend name
-        (``interval``, ``segment``, ``linear``) forced on every group
-        (a group it cannot serve falls back to its structural default),
-        or ``auto`` (default) for the shape rule of
-        :func:`repro.lookup.backends.select_backend`.  Every backend is
-        decision-identical; this only moves time and memory around.
     """
 
     max_group_fields: int = 2
@@ -65,7 +58,6 @@ class EngineConfig:
     min_group_size: int = LINEAR_CUTOVER
     fp_budget: int = 1
     enforce_cache: bool = False
-    lookup_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_group_fields < 1:
@@ -76,13 +68,6 @@ class EngineConfig:
             raise ValueError("min_group_size must be >= 1")
         if self.fp_budget < 1:
             raise ValueError("fp_budget must be >= 1")
-        from ..lookup.backends import backend_names
-
-        if self.lookup_backend not in backend_names(include_auto=True):
-            raise ValueError(
-                f"unknown lookup_backend {self.lookup_backend!r}; "
-                f"expected one of {backend_names(include_auto=True)}"
-            )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ Build pipeline (Sections 4 and 8):
    after β groups or at the first set below the size floor
    (:attr:`~repro.saxpac.config.EngineConfig.min_group_size`, by default
    :data:`~repro.lookup.backends.LINEAR_CUTOVER`); every rule left over
-   goes to the order-dependent part D, kept sorted.
+   goes to the order-dependent part D, kept sorted.  Each group is served
+   by binary search on its key field (Theorem 2, Fields Reduction).
 2. **Optional MRCC** — demote group rules that intersect
    higher-priority D rules so a group match can preempt the
    (power-hungry) D lookup entirely.
@@ -58,7 +59,7 @@ from ..chaos.injector import NULL_INJECTOR
 from ..core.actions import Action
 from ..core.classifier import Classifier, MatchResult
 from ..core.packet import headers_array
-from ..lookup.group_engine import MultiGroupEngine, build_group_index
+from ..lookup.group_engine import MultiGroupEngine, _IntervalGroupIndex
 from ..runtime.batch import box_results
 from ..runtime.telemetry import NULL_RECORDER
 from ..tcam.encoding import BinaryRangeEncoder, RangeEncoder, rule_entry_count
@@ -91,12 +92,6 @@ class EngineReport:
     #: True when this engine came from :meth:`SaxPacEngine.rebuild` reusing
     #: prior structures rather than a from-scratch compile.
     build_incremental: bool = field(default=False, compare=False)
-    #: Lookup backend serving each group, in group order (``interval``,
-    #: ``segment`` or ``linear``).  Like the timing fields, the backend
-    #: assignment is an implementation detail, not structure: it stays
-    #: out of equality so two decision-identical builds compare equal
-    #: even when they were built with different backends.
-    group_backends: Tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def software_fraction(self) -> float:
@@ -210,6 +205,12 @@ class _DTable(NamedTuple):
         return cls(np.append(d, -1), tuple(cuts), tuple(rows))
 
 
+def _iset_index(classifier: Classifier, group: Group) -> _IntervalGroupIndex:
+    """The index of a one-field iSet: binary search on its key field."""
+    (key,) = group.fields
+    return _IntervalGroupIndex(classifier, group, key)
+
+
 class SaxPacEngine:
     """Semantically equivalent drop-in for first-match classification."""
 
@@ -269,9 +270,9 @@ class SaxPacEngine:
         with self._stage("lookup", stages):
             self.software = MultiGroupEngine(
                 classifier,
-                grouping.groups,
+                (),
                 recorder=self.recorder,
-                backend=cfg.lookup_backend,
+                prebuilt=[_iset_index(classifier, g) for g in grouping.groups],
             )
             self._d_table = _DTable.build(classifier, grouping.ungrouped)
         self._d_indices: Tuple[int, ...] = grouping.ungrouped
@@ -349,8 +350,7 @@ class SaxPacEngine:
                     view.extended(new_classifier, fits) if fits else view
                 )
             indexes.extend(
-                build_group_index(new_classifier, g, cfg.lookup_backend)
-                for g in delta.groups
+                _iset_index(new_classifier, g) for g in delta.groups
             )
             software = MultiGroupEngine(
                 new_classifier,
@@ -673,13 +673,4 @@ class SaxPacEngine:
             build_seconds=self.build_seconds,
             build_stages=self.build_stages,
             build_incremental=self.build_incremental,
-            group_backends=tuple(
-                g.backend for g in self.software.groups
-            ),
         )
-
-    def backend_summary(self) -> List[dict]:
-        """Per-group lookup-backend reports (name, fallback, memory,
-        build cost), in group order — the detail behind
-        :attr:`EngineReport.group_backends`."""
-        return self.software.backend_summary()

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core import Classifier, make_rule, uniform_schema
+from repro.core.packet import headers_array
 
 
 @pytest.fixture
@@ -111,3 +112,23 @@ def random_classifier(
                 ranges.append((low, high))
         rules.append(make_rule(ranges))
     return Classifier(schema, rules)
+
+
+def assert_groups_agree(software, headers) -> None:
+    """A :class:`~repro.lookup.group_engine.MultiGroupEngine` answers
+    each header, one at a time and batched, with the first live group
+    member that matches it (-1 for none).  Holds for any groups whose
+    members are order-independent on the group's fields, such as the
+    paper's l-MGR groups."""
+    k = software.classifier
+    members = sorted(
+        int(r) for index in software.groups for r in index.rule_ids if r >= 0
+    )
+    want = [
+        next((j for j in members if k.body[j].matches(h)), -1)
+        for h in headers
+    ]
+    single = [software.lookup(h) for h in headers]
+    assert [-1 if r is None else r for r in single] == want
+    harr = headers_array(headers, k.schema)
+    assert software.lookup_batch(harr).tolist() == want

@@ -12,12 +12,14 @@ Axes of coverage:
 * random small classifiers with arbitrary overlap (hypothesis-built),
   served by the default engine and by engines whose size floor of 1 lets
   every iSet become a group, with and without the MRCC cache property —
-  the group/D merge on adversarial overlap;
+  the group/D merge on adversarial overlap — in batches on both sides
+  of the interval index's switch from bisect to ``searchsorted``;
 * ClassBench-style acl/fw/ipc classifiers from the workload generator;
 * engines that have been through :meth:`SaxPacEngine.rebuild` (the
   incremental path the hot-swap runtime exercises);
-* every registered lookup backend, forced engine-wide — including after
-  a rebuild — since backends promise byte-identical decisions;
+* every lookup backend of the paper's ablation over the paper's l-MGR
+  groups, fresh and relabeled and tombstoned the way a rebuild carries
+  a group, against a first-match scan of the group members;
 * the shared-memory shard transport (``shard_mode=shm``), whose workers
   classify slab views in other processes yet must answer identically;
 * D's bit-vector kernel on its own, against a first-match scan of D's
@@ -29,10 +31,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.mgr import MGRResult
+from repro.analysis.mgr import MGRResult, independent_split
 from repro.core import make_rule, uniform_schema
 from repro.core.classifier import Classifier
 from repro.core.packet import headers_array
@@ -43,6 +46,7 @@ from repro.saxpac.config import EngineConfig
 from repro.saxpac.engine import SaxPacEngine
 from repro.tcam.encoding import BinaryRangeEncoder
 from repro.workloads.generator import generate_classifier
+from conftest import assert_groups_agree
 from strategies import classifiers, corner_headers_for, rules
 
 _SETTINGS = settings(
@@ -75,6 +79,11 @@ GROUPED = (
 )
 
 
+#: Batch sizes around ``_IntervalGroupIndex.VECTOR_MIN_BATCH`` (12),
+#: where a group's per-header bisect hands over to ``searchsorted``.
+_BATCH_SIZES = (0, 11, 12, 13)
+
+
 def _random_classifier_agrees(data, config: EngineConfig) -> None:
     k = data.draw(classifiers(max_rules=16))
     engine = SaxPacEngine(k, config)
@@ -82,9 +91,13 @@ def _random_classifier_agrees(data, config: EngineConfig) -> None:
         assert engine.grouping.groups
     headers = [
         data.draw(corner_headers_for(k))
-        for _ in range(_HEADERS_PER_EXAMPLE)
+        for _ in range(max(_BATCH_SIZES))
     ]
     _assert_agrees(engine, k, headers)
+    want = [k.match(h).index for h in headers]
+    for size in _BATCH_SIZES:
+        got = engine.match_batch_indices(headers[:size]).tolist()
+        assert got == want[:size], size
 
 
 class TestRandomClassifiers:
@@ -132,45 +145,56 @@ class TestClassBenchStyles:
 
 @pytest.fixture(scope="module", params=BACKENDS)
 def backend_engine(request):
-    """An engine with one lookup backend forced on every group."""
+    """The paper's l-MGR groups served by one lookup backend."""
     classifier = generate_classifier("acl", 120, seed=211)
-    config = EngineConfig(lookup_backend=request.param)
-    return classifier, SaxPacEngine(classifier, config)
+    groups = independent_split(classifier).groups
+    return classifier, MultiGroupEngine(
+        classifier, groups, backend=request.param
+    )
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
 def backend_rebuilt_engine(request):
-    """Per-backend engine that went through the incremental rebuild
-    path (reindexed/tombstoned group views + delta groups)."""
+    """Per-backend group indexes carried the way a rebuild carries
+    them: every fifth rule is removed, which tombstones its slot, and
+    the survivors' slots are relabeled to their shifted indexes."""
     classifier = generate_classifier("fw", 120, seed=223)
-    truncated = Classifier(classifier.schema, classifier.body[:80])
-    config = EngineConfig(lookup_backend=request.param)
-    engine = SaxPacEngine(truncated, config).rebuild(classifier)
-    return classifier, engine
+    groups = independent_split(classifier).groups
+    before = MultiGroupEngine(classifier, groups, backend=request.param)
+    kept = [j for j in range(len(classifier.body)) if j % 5 != 2]
+    after = Classifier(classifier.schema, [classifier.body[j] for j in kept])
+    assert len(after.body) == len(kept)
+    old_to_new = np.full(len(classifier.body), -1, dtype=np.int64)
+    old_to_new[kept] = np.arange(len(kept))
+    carried = [
+        index.reindexed(old_to_new[index.rule_ids]) for index in before.groups
+    ]
+    assert any((index.rule_ids < 0).any() for index in carried)
+    return after, MultiGroupEngine(after, (), prebuilt=carried)
 
 
 class TestPerBackend:
     @given(st.data())
     @_SETTINGS
     def test_corner_points_agree(self, backend_engine, data):
-        classifier, engine = backend_engine
+        classifier, software = backend_engine
         headers = [
             data.draw(corner_headers_for(classifier))
             for _ in range(_HEADERS_PER_EXAMPLE)
         ]
-        _assert_agrees(engine, classifier, headers)
+        assert_groups_agree(software, headers)
 
     @given(st.data())
     @_SETTINGS
     def test_corner_points_agree_after_rebuild(
         self, backend_rebuilt_engine, data
     ):
-        classifier, engine = backend_rebuilt_engine
+        classifier, software = backend_rebuilt_engine
         headers = [
             data.draw(corner_headers_for(classifier))
             for _ in range(_HEADERS_PER_EXAMPLE)
         ]
-        _assert_agrees(engine, classifier, headers)
+        assert_groups_agree(software, headers)
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis.mgr import independent_split, l_mgr
 from repro.analysis.mrc import greedy_independent_set
 from repro.core import Classifier, make_rule, uniform_schema
-from repro.lookup.backends.selector import LINEAR_CUTOVER
+from repro.lookup.backends import LINEAR_CUTOVER
 from repro.lookup.cascading import CascadingTwoFieldIndex
 from repro.lookup.group_engine import MultiGroupEngine
 from repro.saxpac.config import EngineConfig
@@ -49,8 +49,9 @@ def assert_same_d_table(got: _DTable, want: _DTable) -> None:
 def assert_engine_invariants(engine: SaxPacEngine) -> None:
     """The structure every build and rebuild must leave behind:
 
-    * each group is pairwise disjoint on its one key field (tombstoned
-      slots ignored) — what makes the group's single candidate exact;
+    * each group is an interval index, pairwise disjoint on its one key
+      field (tombstoned slots ignored) — what makes the group's single
+      candidate exact;
     * D is sorted ascending — what makes its first hit the first match;
     * every live body rule sits in exactly one group or in D;
     * under ``enforce_cache``, no group rule intersects a lower-index D
@@ -68,7 +69,7 @@ def assert_engine_invariants(engine: SaxPacEngine) -> None:
     for group, index in zip(engine.grouping.groups, engine.software.groups):
         live = index.rule_ids[index.rule_ids >= 0]
         assert sorted(group.rule_indices) == sorted(live.tolist())
-        assert len(index.fields) == 1
+        assert index.backend == "interval" and len(index.fields) == 1
         (key,) = index.fields
         order = sorted(live.tolist(), key=lambda r: lows[r, key])
         for a, b in zip(order, order[1:]):
@@ -196,11 +197,11 @@ class TestSemanticEquivalence:
     def test_cascading_structure_equivalent(self, seed):
         """The fractionally-cascaded two-field index, built over each
         two-field group of the paper's l-MGR grouping, answers every
-        probe exactly as the group's segment-tree index does; the engine
-        with ``segment`` forced stays byte-identical."""
+        probe exactly as the group's segment-tree index does; the
+        serving engine stays byte-identical."""
         rng = random.Random(600 + seed)
         k = _grouped_random_classifier(rng)
-        engine = SaxPacEngine(k, EngineConfig(lookup_backend="segment"))
+        engine = SaxPacEngine(k)
         _assert_grouped(engine)
         headers = k.sample_headers(200, rng)
         for header in headers:
@@ -498,14 +499,11 @@ class TestRebuildPlacement:
     group's key-field gap before it partitions the rest, so single-rule
     inserts do not pile up in D until churn forces a full build."""
 
-    @pytest.mark.parametrize("backend", ["auto", "linear"])
     @pytest.mark.parametrize("style", ["acl", "fw", "ipc"])
-    def test_single_inserts_keep_d_bounded(self, style, backend):
+    def test_single_inserts_keep_d_bounded(self, style):
         base = generate_classifier(style, 1000, 3)
         pool = generate_classifier(style, 50, 4).body
-        engine = first = SaxPacEngine(
-            base, EngineConfig(lookup_backend=backend)
-        )
+        engine = first = SaxPacEngine(base)
         d_before = len(engine.grouping.ungrouped)
         fresh = {id(rule) for rule in pool}
         body = list(base.body)
@@ -537,16 +535,13 @@ class TestRebuildPlacement:
         _assert_byte_identical(first, base)
 
 
-    @pytest.mark.parametrize("backend", ["auto", "linear"])
-    def test_added_rule_overlapping_a_tombstone(self, backend):
+    def test_added_rule_overlapping_a_tombstone(self):
         """A removed member's slot stays as a tombstone, and an added
         rule may take its key range: the extended index must still find
         the added rule where the two overlap."""
         schema = uniform_schema(1, 10)
         body = [make_rule([(10 * i, 10 * i + 4)]) for i in range(20)]
-        engine = SaxPacEngine(
-            Classifier(schema, body), EngineConfig(lookup_backend=backend)
-        )
+        engine = SaxPacEngine(Classifier(schema, body))
         assert engine.report().num_groups == 1
         del body[5]  # [50, 54]
         body.insert(3, make_rule([(46, 52)]))

@@ -5,11 +5,8 @@ import random
 import pytest
 
 from repro.analysis.mgr import Group, l_mgr
-from repro.lookup.group_engine import (
-    LinearGroupIndex,
-    MultiGroupEngine,
-    build_group_index,
-)
+from repro.lookup.backends import build_group_index
+from repro.lookup.group_engine import LinearGroupIndex, MultiGroupEngine
 from conftest import random_classifier
 
 

@@ -1,38 +1,32 @@
-"""The pluggable lookup-backend subsystem: registry, the shape rule,
-the interval index on a disjoint key field, and the decision-identity
-contract.
+"""The lookup backends of the paper's ablation: the shape rule, the
+fallback to a group's structural default, the interval index on a
+disjoint key field, and the decision-identity contract.
 
-The load-bearing property: every backend — forced or auto-picked,
-freshly built or carried through an incremental rebuild — returns
-byte-identical decisions to the linear reference scan.
+The load-bearing property: every structure — named or picked by the
+shape rule — answers the paper's l-MGR groups exactly as a first-match
+scan of the group members, and the serving engine, which serves every
+one-field iSet with the interval index, exactly as the linear reference.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.mgr import Group
+from repro.analysis.mgr import Group, independent_split
 from repro.core import Classifier, make_rule, uniform_schema
 from repro.core.packet import headers_array
 from repro.lookup.backends import (
-    LookupBackend,
-    backend_names,
-    build_with_backend,
-    get_backend,
-    register_backend,
+    BACKENDS,
+    LINEAR_CUTOVER,
+    build_group_index,
     disjoint_field,
-    select_backend,
-    structural_backend_name,
 )
-from repro.lookup.backends.selector import LINEAR_CUTOVER
 from repro.lookup.group_engine import LinearGroupIndex, MultiGroupEngine
 from repro.runtime.batch import linear_match_batch
-from repro.saxpac.config import EngineConfig
 from repro.saxpac.engine import SaxPacEngine
+from conftest import assert_groups_agree
 from strategies import classifiers, corner_headers_for
 
 _SETTINGS = settings(
@@ -41,7 +35,8 @@ _SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-BACKENDS = ("interval", "segment", "linear", "auto")
+#: Every name :func:`build_group_index` accepts.
+NAMES = BACKENDS + ("auto",)
 
 WIDTH = 16
 FULL = (1 << WIDTH) - 1
@@ -72,70 +67,62 @@ def _overlapping_group():
 
 
 class TestRegistry:
+    """The structure names :func:`build_group_index` accepts."""
+
     def test_names(self):
-        names = backend_names()
-        assert names == sorted(names)
-        assert names == ["interval", "linear", "segment"]
-        assert backend_names(include_auto=True)[0] == "auto"
+        assert BACKENDS == ("interval", "linear", "segment")
+        # Each named structure builds itself on a group it can serve.
+        k = _disjoint_classifier(LINEAR_CUTOVER)
+        group = Group(tuple(range(LINEAR_CUTOVER)), (0, 1))
+        for name in BACKENDS:
+            index = build_group_index(k, group, name)
+            assert index.backend == name and not index.backend_fallback
 
     def test_unknown_backend_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="linear"):
-            get_backend("btree")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(get_backend("linear"))
-        register_backend(get_backend("linear"), replace=True)  # allowed
-
-    def test_reserved_names_rejected(self):
-        class Bad(LookupBackend):
-            name = "auto"
-
-        with pytest.raises(ValueError):
-            register_backend(Bad())
-
-    def test_engine_config_validates_backend(self):
-        with pytest.raises(ValueError, match="unknown lookup_backend"):
-            EngineConfig(lookup_backend="bogus")
+        k = _disjoint_classifier(4)
+        with pytest.raises(ValueError, match="linear"):
+            build_group_index(k, Group(tuple(range(4)), (0,)), "btree")
 
 
 class TestBuildWithBackend:
     def test_stamps_backend_identity(self):
         k = _disjoint_classifier(8)
-        index = build_with_backend(k, Group(tuple(range(8)), (0,)),
-                                   "interval")
+        index = build_group_index(k, Group(tuple(range(8)), (0,)),
+                                  "interval")
         assert index.backend == "interval"
-        assert index.backend_requested == "interval"
         assert not index.backend_fallback
         assert index.build_seconds >= 0.0
-        report = index.backend_report()
-        assert report["backend"] == "interval"
-        assert report["slots"] == 8
-        assert report["memory_items"] == index.memory_items()
+        assert len(index) == 8
+        assert index.memory_items() > index.rule_ids.size
 
     def test_unsupported_backend_falls_back_structurally(self):
         k = _disjoint_classifier(8)
         one_field = Group(tuple(range(8)), (0,))
-        index = build_with_backend(k, one_field, "segment")
-        assert index.backend == structural_backend_name(k, one_field)
+        index = build_group_index(k, one_field, "segment")
         assert index.backend == "interval"
-        assert index.backend_requested == "segment"
         assert index.backend_fallback
 
     def test_interval_needs_a_disjoint_field(self):
         k, group = _overlapping_group()
         assert disjoint_field(k, group) is None
-        assert not get_backend("interval").supports(k, group)
-        index = build_with_backend(k, group, "interval")
+        index = build_group_index(k, group, "interval")
         assert index.backend == "segment"
         assert index.backend_fallback
 
 
 class TestSelector:
+    """The ``auto`` shape rule, :func:`build_group_index`'s default."""
+
+    @staticmethod
+    def _auto(k, group) -> str:
+        index = build_group_index(k, group)
+        assert not index.backend_fallback
+        return index.backend
+
     def test_tiny_groups_stay_linear(self):
         k = _disjoint_classifier(LINEAR_CUTOVER - 1)
         group = Group(tuple(range(LINEAR_CUTOVER - 1)), (0, 1))
-        assert select_backend(k, group) == "linear"
+        assert self._auto(k, group) == "linear"
 
     def test_mid_size_groups_pick_structural(self):
         """A 16-63-member two-field group with a disjoint field picks
@@ -144,13 +131,13 @@ class TestSelector:
         k = _disjoint_classifier(n)
         group = Group(tuple(range(n)), (0, 1))
         assert disjoint_field(k, group) == 0
-        assert select_backend(k, group) == "interval"
-        assert select_backend(k, Group(tuple(range(n)), (0,))) == "interval"
+        assert self._auto(k, group) == "interval"
+        assert self._auto(k, Group(tuple(range(n)), (0,))) == "interval"
 
     def test_disjoint_groups_pick_interval(self):
         n = 4 * LINEAR_CUTOVER
         k = _disjoint_classifier(n)
-        assert select_backend(k, Group(tuple(range(n)), (0, 1))) == "interval"
+        assert self._auto(k, Group(tuple(range(n)), (0, 1))) == "interval"
         # Disjoint only on the field *combination*: the segment tree
         # serves two fields, a linear scan serves more.
         schema = uniform_schema(3, WIDTH)
@@ -160,8 +147,8 @@ class TestSelector:
         ]
         grid = Classifier(schema, body)
         members = tuple(range(LINEAR_CUTOVER))
-        assert select_backend(grid, Group(members, (0, 1))) == "segment"
-        assert select_backend(grid, Group(members, (0, 1, 2))) == "linear"
+        assert self._auto(grid, Group(members, (0, 1))) == "segment"
+        assert self._auto(grid, Group(members, (0, 1, 2))) == "linear"
 
 
 class TestIntervalGroupIndex:
@@ -180,7 +167,7 @@ class TestIntervalGroupIndex:
         n = 96
         k = self._narrow_classifier(n)
         group = Group(tuple(range(n)), (0, 1))
-        index = build_with_backend(k, group, "interval")
+        index = build_group_index(k, group, "interval")
         assert index.backend == "interval" and not index.backend_fallback
         linear = LinearGroupIndex(k, group)
         headers = [
@@ -198,7 +185,7 @@ class TestIntervalGroupIndex:
         n = 32
         k = self._narrow_classifier(n)
         group = Group(tuple(range(n)), (0, 1))
-        index = build_with_backend(k, group, "interval")
+        index = build_group_index(k, group, "interval")
         header = (4 * 5 + 1, 200)  # inside rule 5 on field 0 only
         assert index.probe(header) is None
         # One header takes the per-header path, a full batch the
@@ -216,7 +203,7 @@ class TestIntervalGroupIndex:
         n = 80
         k = self._narrow_classifier(n)
         group = Group(tuple(range(n)), (0, 1))
-        index = build_with_backend(k, group, "interval")
+        index = build_group_index(k, group, "interval")
         dead = 5
         ids = index.rule_ids.copy()
         ids[dead] = -1
@@ -267,50 +254,24 @@ class TestEngineEquivalence:
     def test_all_backends_byte_identical_to_linear_reference(self, data):
         k = data.draw(classifiers(max_rules=14))
         headers = [data.draw(corner_headers_for(k)) for _ in range(10)]
+        groups = independent_split(k).groups
+        for backend in NAMES:
+            software = MultiGroupEngine(k, groups, backend=backend)
+            assert_groups_agree(software, headers)
         want = [m.index for m in linear_match_batch(k, headers)]
-        for backend in BACKENDS:
-            engine = SaxPacEngine(
-                k, EngineConfig(lookup_backend=backend)
-            )
-            got = [m.index for m in engine.match_batch(headers)]
-            assert got == want, f"backend {backend} diverged"
+        got = [m.index for m in SaxPacEngine(k).match_batch(headers)]
+        assert got == want
 
     def test_forced_interval_serves_big_disjoint_group(self):
+        """The engine's one-field iSets are always interval indexes."""
         n = 128
         k = _disjoint_classifier(n)
-        engine = SaxPacEngine(
-            k, EngineConfig(lookup_backend="interval")
-        )
-        assert "interval" in engine.report().group_backends
+        engine = SaxPacEngine(k)
+        assert [g.backend for g in engine.software.groups] == ["interval"]
         headers = [(4 * i + 1, 7) for i in range(n)] + [(4 * n + 9, 0)]
         want = [m.index for m in linear_match_batch(k, headers)]
         got = [m.index for m in engine.match_batch(headers)]
         assert got == want
-
-
-class TestEngineReporting:
-    def test_report_carries_backends_out_of_equality(self):
-        k = _disjoint_classifier(LINEAR_CUTOVER)
-        engine = SaxPacEngine(k, EngineConfig(lookup_backend="auto"))
-        report = engine.report()
-        assert len(report.group_backends) == report.num_groups
-        assert "interval" in report.group_backends
-        # Backend assignment is an implementation detail: two
-        # decision-identical builds must still compare equal.
-        relabeled = dataclasses.replace(
-            report, group_backends=("linear",) * report.num_groups
-        )
-        assert relabeled == report
-
-    def test_backend_summary_shape(self):
-        k = _disjoint_classifier(LINEAR_CUTOVER)
-        engine = SaxPacEngine(k, EngineConfig(lookup_backend="auto"))
-        summary = engine.backend_summary()
-        assert len(summary) == len(engine.software.groups)
-        for entry in summary:
-            assert entry["backend"] in BACKENDS
-            assert entry["slots"] >= entry["live"]
-            assert entry["memory_items"] > 0
 
 
 class TestRebuildRepick:
@@ -319,7 +280,7 @@ class TestRebuildRepick:
         when churn shrinks them below the linear cutover."""
         n = LINEAR_CUTOVER + 2
         k = _disjoint_classifier(n)
-        engine = SaxPacEngine(k, EngineConfig(lookup_backend="auto"))
+        engine = SaxPacEngine(k)
         assert engine.software.groups[0].backend == "interval"
         shrunk = Classifier(k.schema, k.body[: LINEAR_CUTOVER - 1])
         rebuilt = engine.rebuild(shrunk)
@@ -333,74 +294,41 @@ class TestRebuildRepick:
         assert got == want
 
     def test_forced_backend_survives_rebuild(self):
-        """A forced backend stays the recorded request across a rebuild.
-        The engine's groups are keyed on one field, which the two-field
-        segment tree cannot serve, so ``segment`` falls back to the
-        structural ``interval`` index."""
-        n = 48
+        """The interval index the engine builds on every group survives
+        a rebuild: a carried group extended by an added rule and a group
+        the rebuild adds are interval indexes too."""
+        n = 80
         k = _disjoint_classifier(n)
-        engine = SaxPacEngine(
-            k, EngineConfig(lookup_backend="segment")
-        )
-        group = engine.software.groups[0]
-        assert group.backend_requested == "segment"
-        assert group.backend == "interval" and group.backend_fallback
-        added = make_rule([(4 * n, 4 * n + 2), (0, 9)])
-        grown = Classifier(k.schema, list(k.body) + [added])
+        engine = SaxPacEngine(k)
+        assert [g.backend for g in engine.software.groups] == ["interval"]
+        # One rule fits the carried group's key-field gaps; the next
+        # LINEAR_CUTOVER overlap the carried group on field 0 and are
+        # pairwise disjoint on field 1, so they form a new group.
+        fits = make_rule([(4 * n, 4 * n + 2), (0, 9)])
+        fresh = [
+            make_rule([(0, 4 * n), (2 * i, 2 * i)])
+            for i in range(LINEAR_CUTOVER)
+        ]
+        grown = Classifier(k.schema, list(k.body) + [fits] + fresh)
         rebuilt = engine.rebuild(grown)
         assert rebuilt.build_incremental
-        assert {g.backend_requested for g in rebuilt.software.groups} == {
-            "segment"
-        }
+        groups = rebuilt.software.groups
+        assert [g.backend for g in groups] == ["interval", "interval"]
+        assert [g.fields for g in groups] == [(0,), (1,)]
+        assert len(groups[0]) == n + 1
         headers = [(4 * i + 1, 3) for i in range(n + 1)]
+        # Field 0 in a gap of the carried group: only a new rule matches.
+        headers += [(4 * i + 3, 2 * i) for i in range(LINEAR_CUTOVER)]
         want = [m.index for m in linear_match_batch(grown, headers)]
         got = [m.index for m in rebuilt.match_batch(headers)]
         assert got == want
 
 
-class TestServingSurfaces:
-    def test_service_snapshot_exposes_backends(self):
-        from repro.runtime.service import RuntimeConfig, RuntimeService
-
-        k = _disjoint_classifier(LINEAR_CUTOVER)
-        config = RuntimeConfig(
-            engine=EngineConfig(lookup_backend="auto")
-        )
-        with RuntimeService(k, config) as service:
-            summary = service.backend_summary()
-            assert summary is not None
-            assert summary[0]["backend"] == "interval"
-            payload = service.info_payload()
-            assert payload["lookup_backends"] == summary
-            server = service.serve_metrics(port=0)
-            snapshot = server.render_snapshot()
-            assert "lookup_backends" in snapshot
-            assert (
-                snapshot["lookup_backends"][0]["backend"] == "interval"
-            )
-
-    def test_render_top_annotates_backends(self):
-        from repro.obs.heat import render_top
-
-        report = {
-            "sample_period": 1,
-            "seen_packets": 10,
-            "sampled_packets": 10,
-            "rules": [],
-            "groups": {
-                "g0[0]": {"probes": 10, "candidates": 8,
-                          "fp_failures": 0, "fp_rate": 0.0, "hits": 8},
-                "d": {"probes": 10, "candidates": 2,
-                      "fp_failures": 0, "fp_rate": 0.0, "hits": 2},
-            },
-        }
-        text = render_top(report, backends={"g0[0]": "interval"})
-        assert "backend=interval" in text
-        assert "d " in text  # the D pseudo-stage stays unannotated
-
-
 class TestTelemetryCounters:
     def test_backend_probe_counters(self):
+        """Group probes count under ``groups.*`` and ``engine.*``, the
+        names the served-stack benchmark reads; no counter is kept per
+        lookup backend."""
         from repro.runtime.telemetry import Telemetry
 
         n = LINEAR_CUTOVER + 8
@@ -410,5 +338,8 @@ class TestTelemetryCounters:
         headers = [(4 * i + 1, 3) for i in range(32)]
         engine.match_batch(headers)
         counters = recorder.snapshot().counters
-        assert counters.get("lookup.backend.interval.probes", 0) >= 32
-        assert counters.get("lookup.backend.interval.candidates", 0) >= n
+        assert counters["engine.lookups"] == 32
+        assert counters["groups.probes"] == 32
+        assert counters["groups.fp_checks"] == n
+        assert counters["engine.software_hits"] == n
+        assert not [c for c in counters if c.startswith("lookup.backend.")]

@@ -163,8 +163,6 @@ class TestHelpCoverage:
             "net.lookups",
             "net.shed",
             "net.coalesced_requests",
-            "lookup.backend.interval.probes",
-            "lookup.backend.segment.candidates",
             "engine.group_probes",
         ):
             tel.incr(counter, 3)
@@ -203,8 +201,6 @@ class TestHelpCoverage:
             "saxpac_net_lookups_total",
             "saxpac_net_shed_total",
             "saxpac_net_coalesced_requests_total",
-            "saxpac_lookup_backend_interval_probes_total",
-            "saxpac_lookup_backend_segment_candidates_total",
             "saxpac_net_request_latency_seconds",
             "saxpac_stage_lookup_seconds",
             "saxpac_net_inflight",
